@@ -196,14 +196,20 @@ def _check_recursion(r: int, base: int, seed: int) -> list[str]:
     """One-digit recursion identity at random on-lattice points."""
     failures = []
     rnd = random.Random(seed * 0x9E3779B97F4A7C15 + r)  # keyed per r
+    ks = [rnd.randrange(0, 2 * len(expand(r, base).digits) + 2) for _ in range(3)]
     rt, r0 = divmod(r, base)
     s_r = exactdist.int_digit_sum(r, base)
-    for _ in range(3):
-        d = s_r - rnd.randrange(0, 2 * len(expand(r, base).digits) + 2) * (base - 1)
-        lhs = exactdist.atom_mass(r, base, d)
-        rhs = Fraction(base - r0, base) * exactdist.atom_mass(
-            rt, base, d - r0
-        ) + Fraction(r0, base) * exactdist.atom_mass(rt + 1, base, d + base - r0)
+    # the points read from rt and rt + 1 sit at carry index k and k-1-(trailing
+    # b-1 digits of rt), so max(ks) atoms cover all three laws
+    law, law_lo, law_hi = (
+        exactdist.distribution(u, base, atoms=max(ks)) for u in (r, rt, rt + 1)
+    )
+    for k in ks:
+        d = s_r - k * (base - 1)
+        lhs = law.mass_at(d)
+        rhs = Fraction(base - r0, base) * law_lo.mass_at(d - r0) + Fraction(
+            r0, base
+        ) * law_hi.mass_at(d + base - r0)
         if lhs != rhs:
             failures.append(f"recursion r={r} d={d}: {lhs} != {rhs}")
     return failures
@@ -266,7 +272,8 @@ def cmd_verify(args) -> int:
 
     failures = []
     if args.jobs > 1:
-        # the counting kernel releases the GIL, so threads overlap the sweep
+        # numpy drops the GIL inside the oracle's array passes, so enclosure
+        # checks overlap across threads; the exact side stays serialized
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:

@@ -23,9 +23,6 @@ from .errors import (
     ZeroHasNoBlocks,
 )
 
-# Exact arithmetic carrier for all masses and moments.
-Rational = Fraction
-
 DEFAULT_TAIL_EPS = Fraction(1, 10**30)
 
 
@@ -116,89 +113,27 @@ def unit_atom_mass(k: int, base: int) -> Fraction:
     return Fraction(base - 1, base ** (k + 1))
 
 
-def _digits_lsb(r: int, base: int) -> list[int]:
-    ds = []
-    while r:
-        r, d = divmod(r, base)
-        ds.append(d)
-    return ds
+def _carry_numerators(r: int, base: int, K: int) -> tuple[list[int], int]:
+    """Numerators of the drift-law atoms 0..K of r (atom k: x + r makes k
+    carries), with their common denominator b**(K+1+L), L the digit count.
 
-
-def _chain_masses(r: int, base: int, targets) -> dict[int, Fraction]:
-    """Exact masses of the drift law of r at the requested d values.
-
-    Walks the digit chain u_i = r // base**i. Level i carries the pair
-    (u_i, u_i + 1); one digit step expresses each member's law through the
-    pair one level up, which closes the recursion on the pair state. The
-    top of the chain is (0, 1) whose laws are known in closed form. All
-    masses are integer numerators over a common power of the base.
+    F is the carry-count law of x + u and G that of x + u plus a carry-in,
+    for u = r // b**i. They start at u = 0 (G is then the law of r = 1) and
+    take the digits delta of r most significant first: the low digit of x
+    carries with probability delta/b in F and (delta+1)/b in G, and a carry
+    shifts the carry count of the digits above by one (yG).
     """
     b = base
-    targets = set(targets)
-    if r == 0:
-        return {d: Fraction(1 if d == 0 else 0) for d in targets}
-    digs = _digits_lsb(r, b)
-    L = len(digs)
-
-    # upward pass: which (state, d) pairs each level must provide.
-    # state False = u_i, True = u_i + 1.
-    need = [set() for _ in range(L + 1)]
-    need[0] = {(False, d) for d in targets}
-    for i in range(L):
-        delta = digs[i]
-        nxt = need[i + 1]
-        for hi, d in need[i]:
-            if not hi:
-                nxt.add((False, d - delta))
-                if delta != 0:
-                    nxt.add((True, d + b - delta))
-            elif delta == b - 1:
-                nxt.add((True, d))
-            else:
-                nxt.add((False, d - delta - 1))
-                nxt.add((True, d + b - delta - 1))
-
-    # top-level closed forms, lifted to the common denominator b**T so the
-    # downward pass stays in integers.
-    T = 1
-    for hi, d in need[L]:
-        if hi:
-            q, rem = divmod(1 - d, b - 1)
-            if rem == 0 and q >= 0:
-                T = max(T, q + 1)
-    vals: dict[tuple[bool, int], int] = {}
-    for hi, d in need[L]:
-        if not hi:
-            vals[(hi, d)] = b**T if d == 0 else 0
-        else:
-            q, rem = divmod(1 - d, b - 1)
-            vals[(hi, d)] = (
-                (b - 1) * b ** (T - q - 1) if rem == 0 and 0 <= q <= T - 1 else 0
-            )
-
-    # downward pass: one digit of r per level, denominator grows by b.
-    for i in range(L - 1, -1, -1):
-        delta = digs[i]
-        nxt: dict[tuple[bool, int], int] = {}
-        for hi, d in need[i]:
-            if not hi:
-                if delta == 0:
-                    v = b * vals[(False, d)]
-                else:
-                    v = (b - delta) * vals[(False, d - delta)] + delta * vals[
-                        (True, d + b - delta)
-                    ]
-            elif delta == b - 1:
-                v = b * vals[(True, d)]
-            else:
-                v = (b - delta - 1) * vals[(False, d - delta - 1)] + (
-                    delta + 1
-                ) * vals[(True, d + b - delta - 1)]
-            nxt[(hi, d)] = v
-        vals = nxt
-
-    den = b ** (T + L)
-    return {d: Fraction(vals[(False, d)], den) for d in targets}
+    F = [b ** (K + 1)] + [0] * K
+    G = [(b - 1) * b ** (K - k) for k in range(K + 1)]
+    digits = expand(r, b).digits
+    for delta in reversed(digits):
+        yG = [0] + G[:-1]
+        F, G = (
+            [(b - delta) * f + delta * g for f, g in zip(F, yG)],
+            [(b - delta - 1) * f + (delta + 1) * g for f, g in zip(F, yG)],
+        )
+    return F, b ** (K + 1 + len(digits))
 
 
 def atom_mass(r: int, base: int, d: int) -> Fraction:
@@ -206,18 +141,17 @@ def atom_mass(r: int, base: int, d: int) -> Fraction:
     check_base(base)
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if r == 0:
-        return Fraction(1 if d == 0 else 0)
     s_r = int_digit_sum(r, base)
     q, rem = divmod(s_r - d, base - 1)
     if rem != 0 or q < 0:
         return Fraction(0)  # off-lattice or above the top atom
-    return _chain_masses(r, base, [d])[d]
+    nums, den = _carry_numerators(r, base, q)
+    return Fraction(nums[q], den)
 
 
 def default_atom_cutoff(r: int, base: int, tail_eps: Fraction) -> int:
     """K = digit count of r plus enough lattice steps for tail <= tail_eps."""
-    L = len(_digits_lsb(r, base))
+    L = len(expand(r, base).digits)
     extra = 0
     bound = Fraction(1, base)  # tail after K = L + j is <= b**-(j+1)
     while bound > tail_eps:
@@ -251,15 +185,14 @@ def distribution(
         cached = load_cached_distribution(base, r, K, cache_dir)
         if cached is not None:
             return cached
-    s_r = int_digit_sum(r, base)
-    if r == 0:
-        dist = DriftDistribution(base, 0, 0, (Fraction(1),) + (Fraction(0),) * K, Fraction(0))
-    else:
-        targets = [lattice_point(s_r, k, base) for k in range(K + 1)]
-        masses = _chain_masses(r, base, targets)
-        atom_list = tuple(masses[d] for d in targets)
-        tail = 1 - sum(atom_list)
-        dist = DriftDistribution(base, r, s_r, atom_list, tail)
+    nums, den = _carry_numerators(r, base, K)
+    dist = DriftDistribution(
+        base,
+        r,
+        int_digit_sum(r, base),
+        tuple(Fraction(n, den) for n in nums),
+        Fraction(den - sum(nums), den),
+    )
     if cache_dir is not None:
         save_cached_distribution(dist, cache_dir)
     return dist
@@ -355,7 +288,7 @@ def variance_exact(r: int, base: int) -> Fraction:
     b = base
     nlo, nhi = 0, b  # Var(0), Var(1) at denominator b**0
     pw = 1  # b**t
-    for delta in reversed(_digits_lsb(r, b)):
+    for delta in reversed(expand(r, b).digits):
         pw *= b
         if delta == 0:
             nlo, nhi = (

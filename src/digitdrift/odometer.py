@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .digits import check_base, int_digit_sum
+from .digits import check_base, expand, int_digit_sum
 from .errors import PropagationCapExceeded
 
 DEFAULT_PROPAGATION_CAP = 4096
@@ -88,14 +88,6 @@ class DriftSample:
     digits_consumed: int
 
 
-def _digit_count(r: int, base: int) -> int:
-    n = 0
-    while r:
-        r //= base
-        n += 1
-    return n
-
-
 def sample_drift(sample, r: int, cap: int = DEFAULT_PROPAGATION_CAP) -> DriftSample:
     """Drift of the sampled digit string under addition of r.
 
@@ -107,7 +99,7 @@ def sample_drift(sample, r: int, cap: int = DEFAULT_PROPAGATION_CAP) -> DriftSam
     b = sample.base
     if r == 0:
         return DriftSample(0, 0, 0)
-    L = _digit_count(r, b)
+    L = len(expand(r, b).digits)
     limit = L + cap
     m = L
     x = sample.prefix_value(L)
@@ -141,14 +133,6 @@ def truncated_drift(sample, r: int, k: int) -> int:
 # --- vectorized batch sampling ----------------------------------------------
 
 
-def _lsb_digits(r: int, base: int, width: int) -> list[int]:
-    out = []
-    for _ in range(width):
-        r, d = divmod(r, base)
-        out.append(d)
-    return out
-
-
 def sample_digit_matrix(
     r: int,
     base: int,
@@ -165,9 +149,9 @@ def sample_digit_matrix(
     in any digit-sum difference.
     """
     check_base(base)
-    L = max(_digit_count(r, base), 1)
+    rd = expand(r, base).digits or (0,)
+    L = len(rd)
     X = rng.digit_block(seed, base, n_samples, range(L), first_index)
-    rd = _lsb_digits(r, base, L)
     carry = np.zeros(n_samples, dtype=np.int16)
     for j in range(L):
         t = X[:, j].astype(np.int16) + rd[j] + carry
@@ -191,7 +175,8 @@ def _add_digit_sums(X: np.ndarray, r: int, base: int) -> np.ndarray:
     """Per-row digit sum of (row value + r), all additions staying inside
     the matrix width."""
     n, m = X.shape
-    rd = _lsb_digits(r, base, m)
+    rd = expand(r, base).digits
+    rd += (0,) * (m - len(rd))
     carry = np.zeros(n, dtype=np.int16)
     total = np.zeros(n, dtype=np.int64)
     for j in range(m):

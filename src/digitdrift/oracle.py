@@ -14,26 +14,24 @@ import threading
 
 import numpy as np
 
-from .digits import check_base, int_digit_sum
+from .digits import check_base, expand, int_digit_sum
 from .errors import LevelTooSmall
 from .exactdist import DriftDistribution, lattice_point
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover - numba present in normal installs
-    _HAVE_NUMBA = False
-
 
 def digit_sum_table(limit: int, base: int) -> np.ndarray:
-    """Digit sums of 0..limit-1 as uint8, built by base-power tiling."""
+    """Digit sums of 0..limit-1, built by base-power tiling.
+
+    The dtype is the smallest unsigned one that holds the largest digit
+    sum below limit, (b-1) times the digit count of limit-1.
+    """
     check_base(base)
     if limit <= 0:
         return np.zeros(0, dtype=np.uint8)
     if limit > 2**31:
         raise ValueError("table limit too large")
-    table = np.zeros(limit, dtype=np.uint8)
+    max_sum = (base - 1) * len(expand(limit - 1, base).digits)
+    table = np.zeros(limit, dtype=np.min_scalar_type(max_sum))
     block = 1
     while block < limit:
         for d in range(1, base):
@@ -41,38 +39,43 @@ def digit_sum_table(limit: int, base: int) -> np.ndarray:
             if lo >= limit:
                 break
             hi = min(lo + block, limit)
-            np.add(table[: hi - lo], np.uint8(d), out=table[lo:hi])
+            np.add(table[: hi - lo], d, out=table[lo:hi])
         block *= base
     return table
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _carry_counts_kernel(table, r, m, s_r, bm1, kmax):  # pragma: no cover - jitted
-        counts = np.zeros(kmax, dtype=np.int64)
-        for n in range(m):
-            # digit sums differ by s(r) - c*(b-1); bin by the carry count c.
-            # widen before subtracting: the table entries are uint8
-            d = np.int64(table[n]) - np.int64(table[n + r])
-            counts[(s_r + d) // bm1] += 1
-        return counts
+# integers counted per pass; the pass's temporaries (bincount widens to
+# intp) stay in cache instead of costing 8 bytes per counted integer
+_CHUNK = 1 << 15
 
 
 def _carry_counts(
     table: np.ndarray, r: int, m: int, s_r: int, base: int, table_max: int | None = None
 ) -> np.ndarray:
     """counts[c] = |{n < m : adding r to n creates c carries}|."""
+    if not m:
+        return np.zeros(1, dtype=np.int64)
     if table_max is None:
-        table_max = int(table[:m].max(initial=0))
-    kmax = (table_max + s_r) // (base - 1) + 2 if m else 1
-    if _HAVE_NUMBA:
-        return _carry_counts_kernel(table, r, m, s_r, base - 1, kmax)
-    diff = table[:m].astype(np.int16)
-    diff -= table[r : r + m]
-    diff += np.int16(s_r)
-    counts = np.bincount(diff // (base - 1), minlength=kmax)
-    return counts.astype(np.int64)
+        table_max = int(table[:m].max())
+    kmax = (table_max + s_r) // (base - 1) + 2
+    # s(n) + s(r) - s(n + r) = c*(b-1) lies in [0, table_max + s(r)], so an
+    # unsigned type of that size holds every intermediate; bin the
+    # difference and read the carry count c off every (b-1)-th bin.
+    top = table_max + s_r
+    dtype = np.min_scalar_type(top)
+    binned = np.zeros(top + 1, dtype=np.int64)
+    for lo in range(0, m, _CHUNK):
+        hi = min(lo + _CHUNK, m)
+        diff = table[lo:hi].astype(dtype)
+        diff += s_r
+        diff -= table[r + lo : r + hi]
+        binned += np.bincount(diff, minlength=top + 1)
+    hits = binned[:: base - 1]
+    if int(hits.sum()) != m:
+        raise RuntimeError("digit-sum table is inconsistent: drift off the lattice")
+    counts = np.zeros(kmax, dtype=np.int64)
+    counts[: len(hits)] = hits
+    return counts
 
 
 class _TableCache:

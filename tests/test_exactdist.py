@@ -112,6 +112,58 @@ def test_distribution_zero():
     assert d.tail_mass == 0
 
 
+def _plain_digit_sum(n, b):
+    s = 0
+    while n:
+        n, d = divmod(n, b)
+        s += d
+    return s
+
+
+@pytest.mark.parametrize(
+    "b, r, K",
+    [
+        (2, 0, 3),
+        (2, 1, 0),
+        (2, 1, 4),
+        (2, 6, 2),
+        (2, 23, 1),
+        (2, 44, 6),
+        (2, 181, 2),
+        (3, 0, 2),
+        (3, 5, 0),
+        (3, 17, 3),
+        (3, 26, 4),
+        (3, 200, 2),
+        (10, 0, 1),
+        (10, 7, 0),
+        (10, 9, 2),
+        (10, 45, 1),
+        (10, 99, 2),
+        (10, 190, 1),
+    ],
+)
+def test_engine_matches_exact_enumeration(b, r, K):
+    # Over x < b**N with N = L + K + 1, a carry out of the top digit needs
+    # carries at all K + 1 positions above r, so the counts of x + r making
+    # k <= K carries are exactly b**N times the atoms of the b-adic law.
+    L = 0
+    while b**L <= r:
+        L += 1
+    N = L + K + 1
+    s_r = _plain_digit_sum(r, b)
+    counts = [0] * (N + 1)  # at most one carry per digit of x
+    for x in range(b**N):
+        c = (s_r + _plain_digit_sum(x, b) - _plain_digit_sum(x + r, b)) // (b - 1)
+        counts[c] += 1
+    exact = tuple(Fraction(counts[k], b**N) for k in range(K + 1))
+    dist = distribution(r, b, atoms=K)
+    assert dist.atoms == exact
+    assert dist.tail_mass == Fraction(sum(counts[K + 1 :]), b**N)
+    for k in range(K + 1):
+        assert atom_mass(r, b, s_r - k * (b - 1)) == exact[k]
+
+
 def test_distribution_mass_conservation_and_positivity():
     rng = random.Random(7)
     for _ in range(20):

@@ -29,6 +29,16 @@ def test_digit_sum_table_base2_is_popcount():
     assert np.array_equal(table, np.bitwise_count(n).astype(np.uint8))
 
 
+def test_digit_sum_table_wide_bases():
+    # digit sums past 255 must not wrap; bases that fit keep uint8
+    for base in (200, 256):
+        limit = base**2 + 5
+        table = digit_sum_table(limit, base)
+        assert table.tolist() == [int_digit_sum(n, base) for n in range(limit)]
+    assert digit_sum_table(1 << 16, 2).dtype == np.uint8
+    assert digit_sum_table(10**5, 10).dtype == np.uint8
+
+
 def test_empirical_density_zero_r():
     assert empirical_density(0, 10, 1000) == {0: Fraction(1)}
 
@@ -46,6 +56,31 @@ def test_empirical_density_counting_bound():
     dens = empirical_density(r, b, n)
     for d, val in dens.items():
         assert val <= r * b * atom_mass(r, b, d)
+
+
+def test_empirical_density_digit_sums_past_int16():
+    # digit sums reach 2 * 39999, beyond what a uint8 table or an int16
+    # difference holds
+    r, b, n = 39999, 40000, 1000
+    expected = {}
+    for x in range(n):
+        d = int_digit_sum(x + r, b) - int_digit_sum(x, b)
+        expected[d] = expected.get(d, 0) + 1
+    assert empirical_density(r, b, n) == {
+        d: Fraction(c, n) for d, c in expected.items()
+    }
+
+
+def test_empirical_density_across_count_chunks():
+    # the count runs in fixed-size passes; n spans several with a ragged end
+    r, b, n = 37, 3, 70001
+    expected = {}
+    for x in range(n):
+        d = int_digit_sum(x + r, b) - int_digit_sum(x, b)
+        expected[d] = expected.get(d, 0) + 1
+    assert empirical_density(r, b, n) == {
+        d: Fraction(c, n) for d, c in expected.items()
+    }
 
 
 def test_tower_enclosure_frozen_example():
@@ -95,6 +130,10 @@ def test_enclosures_cover_atoms_small_sweep():
         for r in (1, 2, 5, 17, 60):
             dist = distribution(r, b, atoms=12)
             assert check_enclosures(dist, level) == []
+
+
+def test_enclosures_cover_atoms_base_200():
+    assert check_enclosures(distribution(150, 200), 2) == []
 
 
 def test_cesaro_identity_contains_zero():

@@ -446,12 +446,13 @@ def cmd_phi(args) -> int:
         raise UsageError(
             f"lambda(r) = {dec.lam} too small for max gap {max(ks)} (need > max k + 1)"
         )
+    X = mixing.process_matrix(r, args.base, args.samples, args.seed)
     print("r,base,k,p,family_id,estimate,ci,bound,violated")
     violated = False
     for k in ks:
         for p in ps:
             est = mixing.estimate_phi(
-                r, args.base, k, p, args.samples, seed=args.seed
+                r, args.base, k, p, args.samples, seed=args.seed, values=X
             )
             violated = violated or est.violated
             print(

@@ -290,23 +290,12 @@ def variance_exact(r: int, base: int) -> Fraction:
     pw = 1  # b**t
     for delta in reversed(expand(r, b).digits):
         pw *= b
-        if delta == 0:
-            nlo, nhi = (
-                b * nlo,
-                (b - 1) * nlo + nhi + 1 * (b - 1) * pw,
-            )
-        elif delta == b - 1:
-            nlo, nhi = (
-                nlo + (b - 1) * nhi + (b - 1) * pw,
-                b * nhi,
-            )
-        else:
-            nlo, nhi = (
-                (b - delta) * nlo + delta * nhi + delta * (b - delta) * pw,
-                (b - delta - 1) * nlo
-                + (delta + 1) * nhi
-                + (delta + 1) * (b - delta - 1) * pw,
-            )
+        nlo, nhi = (
+            (b - delta) * nlo + delta * nhi + delta * (b - delta) * pw,
+            (b - delta - 1) * nlo
+            + (delta + 1) * nhi
+            + (delta + 1) * (b - delta - 1) * pw,
+        )
     return Fraction(nlo, pw)
 
 

@@ -18,7 +18,7 @@ from .errors import InsufficientSamples
 from .exactdist import DriftDistribution, distribution
 from .odometer import (
     DEFAULT_PROPAGATION_CAP,
-    _add_digit_sums,
+    prefix_digit_sums,
     sample_digit_matrix,
     sample_drift,
 )
@@ -61,19 +61,18 @@ def process_matrix(
     first_index: int = 0,
     cap: int = DEFAULT_PROPAGATION_CAP,
 ) -> np.ndarray:
-    """Per-block drift values for a batch: shape (n_samples, lambda), int16.
+    """Per-block drift values for a batch: shape (n_samples, lambda), int16,
+    or int64 when a value does not fit in int16 (large bases).
 
     Row sums equal the plain drift draws for the same (seed, index).
     """
     check_base(base)
     prefixes = block_prefix_integers(expand(r, base))
     X = sample_digit_matrix(r, base, n_samples, seed, first_index, cap)
-    sums = [_add_digit_sums(X, t, base) for t in prefixes]
-    lam = len(prefixes) - 1
-    out = np.empty((n_samples, lam), dtype=np.int16)
-    for i in range(lam):
-        out[:, i] = sums[i + 1] - sums[i]
-    return out
+    sums, _ = prefix_digit_sums(X.T, prefixes, base)
+    V = np.diff(sums, axis=0).T
+    wide = V.size and (V.min() < -(2**15) or V.max() >= 2**15)
+    return np.ascontiguousarray(V, dtype=np.int64 if wide else np.int16)
 
 
 def block_laws(r: int, base: int, atoms: int | None = None) -> list[DriftDistribution]:
@@ -84,13 +83,14 @@ def block_laws(r: int, base: int, atoms: int | None = None) -> list[DriftDistrib
     value alone.
     """
     prefixes = block_prefix_integers(expand(r, base))
-    laws = []
+    values = []
     for i in range(len(prefixes) - 1):
         v = prefixes[i + 1] - prefixes[i]
         while v % base == 0:
             v //= base
-        laws.append(distribution(v, base, atoms=atoms))
-    return laws
+        values.append(v)
+    laws = {v: distribution(v, base, atoms=atoms) for v in set(values)}
+    return [laws[v] for v in values]
 
 
 def exact_median(dist: DriftDistribution) -> int:
@@ -253,7 +253,6 @@ def estimate_phi(
     p: int,
     n_samples: int,
     seed: int = 0,
-    family: str = "default",
     min_hits: int = MIN_EVENT_HITS,
     values: np.ndarray | None = None,
 ) -> PhiEstimate:
@@ -273,7 +272,7 @@ def estimate_phi(
     if p + k > lam:
         # no blocks left beyond the gap: trivial sigma-algebra
         return PhiEstimate(
-            r, base, k, p, 0.0, 0.0, bound, n_samples, family, 0, 0
+            r, base, k, p, 0.0, 0.0, bound, n_samples, "default", 0, 0
         )
     X = process_matrix(r, base, n_samples, seed) if values is None else values
     laws = block_laws(r, base)
@@ -308,7 +307,7 @@ def estimate_phi(
         ci,
         bound,
         n_samples,
-        family,
+        "default",
         A.shape[1],
         B.shape[1],
     )

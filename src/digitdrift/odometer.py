@@ -142,51 +142,76 @@ def sample_digit_matrix(
     cap: int = DEFAULT_PROPAGATION_CAP,
 ) -> np.ndarray:
     """Digit prefixes wide enough that x + r never carries out, as an
-    (n_samples, M) uint8 matrix.
+    (n_samples, M) matrix with contiguous columns (the transpose of a
+    position-major array), in rng.digit_block's dtype.
 
     Columns past a row's own propagation depth are still drawn (they are
     keyed by position, so values match the lazy scalar path); they cancel
     in any digit-sum difference.
     """
     check_base(base)
-    rd = expand(r, base).digits or (0,)
-    L = len(rd)
-    X = rng.digit_block(seed, base, n_samples, range(L), first_index)
-    carry = np.zeros(n_samples, dtype=np.int16)
-    for j in range(L):
-        t = X[:, j].astype(np.int16) + rd[j] + carry
-        carry = (t >= base).astype(np.int16)
-    pending = carry.astype(bool)
+    L = max(len(expand(r, base).digits), 1)
+    cols = [rng.digit_block(seed, base, n_samples, range(L), first_index).T]
+    _, pending = prefix_digit_sums(cols[0], (r,), base)
     j = L
-    cols = []
     while pending.any():
         if j >= L + cap:
             raise PropagationCapExceeded(f"batch propagation exceeded cap {cap}")
-        col = rng.digit_column(seed, base, n_samples, j, first_index)
-        cols.append(col)
-        pending &= col == base - 1
+        cols.append(rng.digit_block(seed, base, n_samples, [j], first_index).T)
+        pending &= cols[-1][0] == base - 1
         j += 1
-    if cols:
-        X = np.hstack([X] + [c.reshape(-1, 1) for c in cols])
-    return X
+    return np.vstack(cols).T
 
 
-def _add_digit_sums(X: np.ndarray, r: int, base: int) -> np.ndarray:
-    """Per-row digit sum of (row value + r), all additions staying inside
-    the matrix width."""
-    n, m = X.shape
-    rd = expand(r, base).digits
-    rd += (0,) * (m - len(rd))
-    carry = np.zeros(n, dtype=np.int16)
-    total = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        t = X[:, j].astype(np.int16) + rd[j] + carry
-        carry = (t >= base).astype(np.int16)
-        total += t - base * carry
-    # no carry out of the top by construction of sample_digit_matrix
-    if carry.any():
-        raise PropagationCapExceeded("digit matrix too narrow for this addend")
-    return total
+# elements (addends x samples) per pass of prefix_digit_sums; the pass's
+# carry buffers stay in cache while the sweep walks every digit position
+_CHUNK = 1 << 18
+
+
+def prefix_digit_sums(
+    Xt: np.ndarray, addends, base: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Digit sums of x + t for every addend t, in one sweep over positions.
+
+    Xt is a position-major (M, n) digit matrix. Returns the (len(addends),
+    n) int64 digit sums of (x + t) mod base**M and the carry out of the top
+    position for the last addend; sample_digit_matrix widens the matrix
+    until that carry is zero for r.
+    """
+    m, n = Xt.shape
+    if (base - 1) * m >= 2**63:
+        raise OverflowError("digit sums of this matrix overflow int64")
+    # digit + addend digit + carry is at most 2b - 1; carry counts are
+    # moved to the int64 totals before they can overflow this type
+    small = np.min_scalar_type(1 - 2 * base)
+    span = np.iinfo(small).max
+    D = np.zeros((len(addends), m, 1), dtype=small)
+    for a, addend in enumerate(addends):
+        td = expand(addend, base).digits
+        D[a, : len(td), 0] = td
+    s_t = D.sum(axis=1, dtype=np.int64)
+    sums = np.empty((len(addends), n), dtype=np.int64)
+    carry_out = np.empty(n, dtype=bool)
+    step = max(1, _CHUNK // len(addends))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        t = np.empty((len(addends), hi - lo), dtype=small)
+        carry = np.zeros_like(t)
+        count = np.zeros_like(t)
+        carries = np.zeros(t.shape, dtype=np.int64)
+        for j in range(m):
+            np.add(Xt[j, lo:hi].astype(small), D[:, j], out=t)
+            t += carry
+            np.greater_equal(t, base, out=carry, casting="unsafe")
+            count += carry
+            if (j + 1) % span == 0:
+                carries += count
+                count[:] = 0
+        carries += count
+        # s((x + t) mod b^M) = s(x) + s(t) - (b-1)*carries - carry out
+        sums[:, lo:hi] = s_t - (base - 1) * carries - carry
+        carry_out[lo:hi] = carry[-1]
+    return sums + Xt.sum(axis=0, dtype=np.int64), carry_out
 
 
 def drift_samples(
@@ -201,12 +226,8 @@ def drift_samples(
 
     Entry i equals sample_drift on LazyBadicSample(base, seed, first_index+i).
     """
-    if r == 0:
-        z = np.zeros(n_samples, dtype=np.int64)
-        return z, z.copy()
     X = sample_digit_matrix(r, base, n_samples, seed, first_index, cap)
-    s_x = X.astype(np.int64).sum(axis=1)
-    s_z = _add_digit_sums(X, r, base)
+    (s_x, s_z), _ = prefix_digit_sums(X.T, (0, r), base)
     delta = s_z - s_x
     carries = (int_digit_sum(r, base) - delta) // (base - 1)
     return delta, carries

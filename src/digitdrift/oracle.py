@@ -16,7 +16,7 @@ import numpy as np
 
 from .digits import check_base, expand, int_digit_sum
 from .errors import LevelTooSmall
-from .exactdist import DriftDistribution, lattice_point
+from .exactdist import DriftDistribution, lattice_point, mean_interval, second_moment_interval
 
 
 def digit_sum_table(limit: int, base: int) -> np.ndarray:
@@ -50,13 +50,11 @@ _CHUNK = 1 << 15
 
 
 def _carry_counts(
-    table: np.ndarray, r: int, m: int, s_r: int, base: int, table_max: int | None = None
+    table: np.ndarray, r: int, m: int, s_r: int, base: int, table_max: int
 ) -> np.ndarray:
     """counts[c] = |{n < m : adding r to n creates c carries}|."""
     if not m:
         return np.zeros(1, dtype=np.int64)
-    if table_max is None:
-        table_max = int(table[:m].max())
     kmax = (table_max + s_r) // (base - 1) + 2
     # s(n) + s(r) - s(n + r) = c*(b-1) lies in [0, table_max + s(r)], so an
     # unsigned type of that size holds every intermediate; bin the
@@ -239,14 +237,10 @@ def cesaro_check(
     ds = s_r - ks * (base - 1)
     if f == "identity":
         emp = Fraction(int(np.sum(counts * ds)), n)
-        partial = sum(Fraction(dd) * m for dd, m in dist.items())
-        t1 = tail_abs_moment_bound(dist, 1)
-        return CesaroResult(emp, partial - t1, partial + t1)
+        return CesaroResult(emp, *mean_interval(dist))
     if f == "square":
         emp = Fraction(int(np.sum(counts * ds * ds)), n)
-        partial = sum(Fraction(dd) ** 2 * m for dd, m in dist.items())
-        t2 = tail_abs_moment_bound(dist, 2)
-        return CesaroResult(emp, partial, partial + t2)
+        return CesaroResult(emp, *second_moment_interval(dist))
     if f == "abs":
         emp = Fraction(int(np.sum(counts * np.abs(ds))), n)
         partial = sum(abs(Fraction(dd)) * m for dd, m in dist.items())

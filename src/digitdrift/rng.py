@@ -59,34 +59,27 @@ def digit_block(
     positions,
     first_index: int = 0,
 ) -> np.ndarray:
-    """Digit matrix of shape (n_samples, len(positions)), uint8.
+    """Digit matrix of shape (n_samples, len(positions)) with contiguous
+    columns, in the smallest unsigned dtype that holds base - 1.
 
     Row i holds the digits of sample first_index + i at the requested
     positions; identical to digit_at entry by entry.
     """
+    dtype = np.min_scalar_type(base - 1)
     si = np.arange(first_index, first_index + n_samples, dtype=np.uint64)
     u = _mix64_np(np.uint64(seed & _MASK) + (si + np.uint64(1)) * _NP_GOLD)
     dj = np.asarray(positions, dtype=np.uint64)
-    v = _mix64_np(u.reshape(-1, 1) + (dj.reshape(1, -1) + np.uint64(1)) * _NP_GOLD)
+    v = _mix64_np(u.reshape(1, -1) + (dj.reshape(-1, 1) + np.uint64(1)) * _NP_GOLD)
     w = _mix64_np(v)
-    out = (w % np.uint64(base)).astype(np.uint8)
+    out = (w % np.uint64(base)).astype(dtype)
     rem = 2**64 % base
     if rem:
         limit = np.uint64(2**64 - rem)
         rejected = w >= limit
         attempt = 1
         while rejected.any():
-            w2 = _mix64_np(v[rejected] + np.uint64(attempt) * _NP_GOLD)
-            out[rejected] = (w2 % np.uint64(base)).astype(np.uint8)
-            nxt = np.zeros_like(rejected)
-            nxt[rejected] = w2 >= limit
-            rejected = nxt
+            w2 = _mix64_np(v[rejected] + np.uint64(attempt * _GOLD & _MASK))
+            out[rejected] = (w2 % np.uint64(base)).astype(dtype)
+            rejected[rejected] = w2 >= limit
             attempt += 1
-    return out
-
-
-def digit_column(
-    seed: int, base: int, n_samples: int, position: int, first_index: int = 0
-) -> np.ndarray:
-    """Single digit position for a batch of samples, shape (n_samples,)."""
-    return digit_block(seed, base, n_samples, [position], first_index)[:, 0]
+    return out.T

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from digitdrift import mixing
 from digitdrift.cli import main, parse_r, pattern_family, UsageError
 
 
@@ -238,6 +239,31 @@ def test_phi_small_run(capsys):
     # bound column: 2*((b-1)/b)^(k/2-1)
     bound_k3 = float(lines[1].split(",")[7])
     assert bound_k3 == pytest.approx(2 * 0.5 ** 0.5, rel=1e-9)
+
+
+def test_phi_builds_process_once_and_keeps_output(capsys, monkeypatch):
+    builds = []
+    real = mixing.process_matrix
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mixing, "process_matrix", counted)
+    code, out, _ = run_cli(
+        capsys, "phi", "10101010101010101010", "--radix-input", "--base", "2",
+        "--k", "3,4", "--p", "1,4", "--samples", "4000", "--seed", "7",
+    )
+    assert code == 0
+    assert len(builds) == 1
+    # the bytes printed when every (k, p) pair built its own matrix
+    assert out == (
+        "r,base,k,p,family_id,estimate,ci,bound,violated\n"
+        "699050,2,3,1,default,0.0242282608696,0.0571538844417,1.41421356237,False\n"
+        "699050,2,3,4,default,0.106634615385,0.128412873133,1.41421356237,False\n"
+        "699050,2,4,1,default,0.023556763285,0.0768136254668,1,False\n"
+        "699050,2,4,4,default,0.0768995726496,0.130060591273,1,False\n"
+    )
 
 
 def test_phi_lambda_too_small(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from digitdrift import odometer
 from digitdrift.errors import InsufficientSamples
 from digitdrift.exactdist import distribution, unit_atom_mass, variance_exact
 from digitdrift.mixing import (
@@ -59,6 +60,33 @@ def test_process_matrix_matches_scalar_process():
     for i in range(n):
         out = sample_process(LazyBadicSample(base, seed=seed, index=i), r)
         assert tuple(X[i]) == out.values
+
+
+@pytest.mark.parametrize(
+    "r, base",
+    [
+        (118, 2),
+        (5900991, 10),
+        # more than 127 carries per sample: int8 carry counts must be flushed
+        (int("1" * 200 + "0" + "101", 2), 2),
+        # digits above 255 do not fit in uint8
+        (12345 + 77 * 257**3, 257),
+        (12345 + 77 * 300**3, 300),
+        (12345 + 77 * 1000**3, 1000),
+        (12345 + 77 * 40000**3, 40000),
+    ],
+)
+def test_samplers_match_scalar_across_chunks(monkeypatch, r, base):
+    # several sweep passes with a ragged last one
+    monkeypatch.setattr(odometer, "_CHUNK", 128)
+    n, seed = 2 * 128 + 37, 3
+    delta, carries = drift_samples(r, base, n, seed)
+    X = process_matrix(r, base, n, seed)
+    for i in range(n):
+        s = LazyBadicSample(base, seed=seed, index=i)
+        out = sample_drift(s, r)
+        assert (delta[i], carries[i]) == (out.delta, out.carries)
+        assert tuple(X[i]) == sample_process(s, r).values
 
 
 def test_process_empirical_variance_vs_exact():

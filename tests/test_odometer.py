@@ -8,11 +8,13 @@ from digitdrift.odometer import (
     LazyBadicSample,
     advance,
     drift_samples,
+    prefix_digit_sums,
     sample_digit_matrix,
     sample_drift,
     truncated_drift,
 )
 from digitdrift import rng
+from digitdrift.digits import int_digit_sum
 
 
 class FixedSample:
@@ -50,10 +52,11 @@ def test_sample_digits_never_change():
 
 
 def test_scalar_digits_match_vector_block():
-    X = rng.digit_block(99, 10, 40, range(15), first_index=3)
-    for i in range(40):
-        for j in range(15):
-            assert X[i, j] == rng.digit_at(99, 3 + i, j, 10)
+    for base in (10, 3 * 2**62):  # the second base rejects 1/4 of draws
+        X = rng.digit_block(99, base, 40, range(15), first_index=3)
+        for i in range(40):
+            for j in range(15):
+                assert X[i, j] == rng.digit_at(99, 3 + i, j, base)
 
 
 def test_sample_drift_zero_r():
@@ -159,6 +162,25 @@ def test_digit_matrix_wide_enough():
     powers = np.array([10**j for j in range(X.shape[1])], dtype=object)
     x_vals = (vals * powers).sum(axis=1)
     assert all(int(x) + 999 < 10 ** X.shape[1] for x in x_vals)
+
+
+def test_prefix_digit_sums_against_integers():
+    base, m, n = 3, 6, 500
+    Xt = rng.digit_block(5, base, n, range(m)).T
+    addends = (0, 1, 200, base**m - 1)  # the last one carries out of most rows
+    sums, carry_out = prefix_digit_sums(Xt, addends, base)
+    for i in range(n):
+        x = sum(int(Xt[j, i]) * base**j for j in range(m))
+        for a, t in enumerate(addends):
+            assert sums[a, i] == int_digit_sum((x + t) % base**m, base)
+        assert carry_out[i] == (x + addends[-1] >= base**m)
+
+
+def test_prefix_digit_sums_refuses_int64_overflow():
+    base = 2**62
+    Xt = np.full((3, 4), base - 1, dtype=np.uint64)
+    with pytest.raises(OverflowError):
+        prefix_digit_sums(Xt, (0,), base)
 
 
 def test_digit_marginals_chi_square():

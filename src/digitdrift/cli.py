@@ -300,7 +300,9 @@ def cmd_simulate(args) -> int:
         raise UsageError("--samples must be >= 1")
     n = args.samples
     dist = exactdist.distribution(r, args.base, cache_dir=args.cache)
-    delta, carries = odometer.drift_samples(r, args.base, n, args.seed, cap=args.cap)
+    # one digit matrix serves the drift draws and the per-block process
+    digits = odometer.sample_digit_matrix(r, args.base, n, args.seed, cap=args.cap)
+    delta, carries = odometer.drift_from_digits(digits, r, args.base)
     s_r = dist.s_r
     ident_ok = bool(np.all(delta == s_r - carries * (args.base - 1)))
     print(f"r = {r}  base = {args.base}  samples = {n}  seed = {args.seed}")
@@ -324,7 +326,7 @@ def cmd_simulate(args) -> int:
     if args.process:
         if r < 1:
             raise UsageError("--process needs r >= 1")
-        X = mixing.process_matrix(r, args.base, n, args.seed, cap=args.cap)
+        X = mixing.process_from_digits(digits, r, args.base)
         totals = X.sum(axis=1)
         same = bool(np.array_equal(np.sort(totals), np.sort(delta)))
         exact_match = bool(np.all(totals == delta))

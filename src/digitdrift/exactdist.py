@@ -432,11 +432,14 @@ def load_cached_distribution(
     path = os.path.join(cache_dir, cache_key(base, r, K))
     if not os.path.exists(path):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc["base"] != base or int(doc["r"]) != r or len(doc["atoms"]) != K + 1:
-        return None  # hash collision or stale file; recompute
-    return DriftDistribution.from_json_doc(doc)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc["base"] != base or int(doc["r"]) != r or len(doc["atoms"]) != K + 1:
+            return None  # hash collision or stale file; recompute
+        return DriftDistribution.from_json_doc(doc)
+    except (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError):
+        return None  # truncated or unparseable file; recompute and overwrite
 
 
 def save_cached_distribution(dist: DriftDistribution, cache_dir: str) -> str:

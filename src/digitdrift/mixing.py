@@ -66,11 +66,18 @@ def process_matrix(
 
     Row sums equal the plain drift draws for the same (seed, index).
     """
-    check_base(base)
+    return process_from_digits(
+        sample_digit_matrix(r, base, n_samples, seed, first_index, cap), r, base
+    )
+
+
+def process_from_digits(X: np.ndarray, r: int, base: int) -> np.ndarray:
+    """process_matrix values of r on each row of a sample_digit_matrix(r, ...)."""
     prefixes = block_prefix_integers(expand(r, base))
-    X = sample_digit_matrix(r, base, n_samples, seed, first_index, cap)
     sums, _ = prefix_digit_sums(X.T, prefixes, base)
-    V = np.diff(sums, axis=0).T
+    for i in range(len(sums) - 1, 0, -1):  # np.diff, in place
+        sums[i] -= sums[i - 1]
+    V = sums[1:].T
     wide = V.size and (V.min() < -(2**15) or V.max() >= 2**15)
     return np.ascontiguousarray(V, dtype=np.int64 if wide else np.int16)
 

@@ -208,10 +208,15 @@ def prefix_digit_sums(
                 carries += count
                 count[:] = 0
         carries += count
-        # s((x + t) mod b^M) = s(x) + s(t) - (b-1)*carries - carry out
-        sums[:, lo:hi] = s_t - (base - 1) * carries - carry
+        # s((x + t) mod b^M) = s(x) + s(t) - (b-1)*carries - carry out,
+        # built in place in the carry-count buffer
+        carries *= 1 - base
+        carries += s_t
+        carries -= carry
+        carries += Xt[:, lo:hi].sum(axis=0, dtype=np.int64)
+        sums[:, lo:hi] = carries
         carry_out[lo:hi] = carry[-1]
-    return sums + Xt.sum(axis=0, dtype=np.int64), carry_out
+    return sums, carry_out
 
 
 def drift_samples(
@@ -226,7 +231,13 @@ def drift_samples(
 
     Entry i equals sample_drift on LazyBadicSample(base, seed, first_index+i).
     """
-    X = sample_digit_matrix(r, base, n_samples, seed, first_index, cap)
+    return drift_from_digits(
+        sample_digit_matrix(r, base, n_samples, seed, first_index, cap), r, base
+    )
+
+
+def drift_from_digits(X: np.ndarray, r: int, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """(delta, carries) of r on each row of a sample_digit_matrix(r, ...)."""
     (s_x, s_z), _ = prefix_digit_sums(X.T, (0, r), base)
     delta = s_z - s_x
     carries = (int_digit_sum(r, base) - delta) // (base - 1)

@@ -41,15 +41,21 @@ def digit_at(seed: int, sample_index: int, digit_index: int, base: int) -> int:
 
 # --- vectorized twin -------------------------------------------------------
 
-_NP_GOLD = np.uint64(_GOLD)
 _NP_MC1 = np.uint64(_MC1)
 _NP_MC2 = np.uint64(_MC2)
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _NP_MC1
-    z = (z ^ (z >> np.uint64(27))) * _NP_MC2
-    return z ^ (z >> np.uint64(31))
+def _mix64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer applied to z in place; tmp is scratch of z's shape."""
+    np.right_shift(z, 30, out=tmp)
+    z ^= tmp
+    z *= _NP_MC1
+    np.right_shift(z, 27, out=tmp)
+    z ^= tmp
+    z *= _NP_MC2
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+    return z
 
 
 def digit_block(
@@ -63,23 +69,43 @@ def digit_block(
     columns, in the smallest unsigned dtype that holds base - 1.
 
     Row i holds the digits of sample first_index + i at the requested
-    positions; identical to digit_at entry by entry.
+    positions; identical to digit_at entry by entry. The position-major
+    array is filled one position at a time, so besides the output only a
+    few n_samples-long buffers are live.
     """
     dtype = np.min_scalar_type(base - 1)
-    si = np.arange(first_index, first_index + n_samples, dtype=np.uint64)
-    u = _mix64_np(np.uint64(seed & _MASK) + (si + np.uint64(1)) * _NP_GOLD)
-    dj = np.asarray(positions, dtype=np.uint64)
-    v = _mix64_np(u.reshape(1, -1) + (dj.reshape(-1, 1) + np.uint64(1)) * _NP_GOLD)
-    w = _mix64_np(v)
-    out = (w % np.uint64(base)).astype(dtype)
+    b = np.uint64(base)
     rem = 2**64 % base
-    if rem:
-        limit = np.uint64(2**64 - rem)
-        rejected = w >= limit
-        attempt = 1
-        while rejected.any():
-            w2 = _mix64_np(v[rejected] + np.uint64(attempt * _GOLD & _MASK))
-            out[rejected] = (w2 % np.uint64(base)).astype(dtype)
-            rejected[rejected] = w2 >= limit
-            attempt += 1
+    limit = 2**64 - rem
+    keys = [(int(j) + 1) * _GOLD & _MASK for j in positions]
+    out = np.empty((len(keys), n_samples), dtype=dtype)
+    u = np.arange(first_index, first_index + n_samples, dtype=np.uint64)
+    w = np.empty_like(u)
+    tmp = np.empty_like(u)
+    u += 1
+    u *= _GOLD
+    u += seed & _MASK
+    _mix64_np(u, tmp)
+    for row, key in zip(out, keys):
+        np.add(u, key, out=w)
+        _mix64_np(_mix64_np(w, tmp), tmp)
+        # w - (w // b) * b: uint64 floor division by a scalar is much
+        # faster than the remainder ufunc
+        np.floor_divide(w, b, out=tmp)
+        tmp *= b
+        np.subtract(w, tmp, out=tmp)
+        row[:] = tmp
+        if rem:
+            # rejection keeps the law exactly uniform
+            bad = np.flatnonzero(w >= limit)
+            if bad.size:
+                v = _mix64_np(u[bad] + key, np.empty(bad.size, np.uint64))
+                attempt = 0
+                while bad.size:
+                    attempt += 1
+                    w2 = v + (attempt * _GOLD & _MASK)
+                    _mix64_np(w2, np.empty_like(w2))
+                    row[bad] = w2 % b
+                    keep = w2 >= limit
+                    bad, v = bad[keep], v[keep]
     return out.T

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from digitdrift import mixing
+from digitdrift import mixing, odometer
 from digitdrift.cli import main, parse_r, pattern_family, UsageError
 
 
@@ -263,6 +263,50 @@ def test_phi_builds_process_once_and_keeps_output(capsys, monkeypatch):
         "699050,2,3,4,default,0.106634615385,0.128412873133,1.41421356237,False\n"
         "699050,2,4,1,default,0.023556763285,0.0768136254668,1,False\n"
         "699050,2,4,4,default,0.0768995726496,0.130060591273,1,False\n"
+    )
+
+
+def test_simulate_process_draws_digits_once_and_keeps_output(capsys, monkeypatch, tmp_cache):
+    draws = []
+    real = odometer.sample_digit_matrix
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(odometer, "sample_digit_matrix", counted)
+    monkeypatch.setattr(mixing, "sample_digit_matrix", counted)
+    code, out, _ = run_cli(
+        capsys, "simulate", "118", "--base", "2", "--samples", "4000", "--process",
+        "--seed", "7", "--cache", tmp_cache,
+    )
+    assert code == 0
+    assert len(draws) == 1
+    # the bytes printed when the drift draws and the process drew separately
+    assert out == (
+        "r = 118  base = 2  samples = 4000  seed = 7\n"
+        "carry identity holds for all samples: True\n"
+        "  k    d     count     empirical      exact          z\n"
+        "  0    5     119       0.02975       0.03125        -0.55\n"
+        "  1    4     121       0.03025       0.03125        -0.36\n"
+        "  2    3     289       0.07225       0.078125       -1.38\n"
+        "  3    2     476       0.119         0.117188       +0.36\n"
+        "  4    1     463       0.11575       0.121094       -1.04\n"
+        "  5    0     743       0.18575       0.185547       +0.03\n"
+        "  6    -1    916       0.229         0.217773       +1.72\n"
+        "  7    -2    420       0.105         0.108887       -0.79\n"
+        "  8    -3    242       0.0605        0.0544434      +1.69\n"
+        "  9    -4    108       0.027         0.0272217      -0.09\n"
+        "  10   -5    56        0.014         0.0136108      +0.21\n"
+        "  11   -6    22        0.0055        0.00680542     -1.00\n"
+        "  12   -7    13        0.00325       0.00340271     -0.17\n"
+        "  13   -8    8         0.002         0.00170135     +0.46\n"
+        "  14   -9    2         0.0005        0.000850677    -0.76\n"
+        "  15   -10   2         0.0005        0.000425339    +0.23\n"
+        "max |z| = 1.72\n"
+        "process: lambda = 2, sum(X_i) == delta for all samples: True\n"
+        "process totals histogram identical to drift histogram: True\n"
+        "per-block means: -0.0090 -0.0305\n"
     )
 
 

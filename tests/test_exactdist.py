@@ -10,6 +10,7 @@ from digitdrift.errors import NotSingleBlock, TailBoundUnavailable, ZeroHasNoBlo
 from digitdrift.exactdist import (
     DriftDistribution,
     atom_mass,
+    cache_key,
     carry_tail_probability_bound,
     check_variance_bounds,
     default_atom_cutoff,
@@ -336,6 +337,26 @@ def test_cache_round_trip(tmp_cache):
     assert load_cached_distribution(2, 119, 20, tmp_cache) is None
     via = distribution(118, 2, atoms=20, cache_dir=tmp_cache)
     assert via == d
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"base": 2, "r": "118", "s_r": 5, "atoms": [{"k": 0, "ma', '', '{"base": 2}'],
+    ids=["truncated", "empty", "missing-keys"],
+)
+def test_corrupt_cache_file_is_recomputed(tmp_cache, text):
+    import json
+    import os
+
+    os.makedirs(tmp_cache)
+    path = os.path.join(tmp_cache, cache_key(2, 118, 20))
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert load_cached_distribution(2, 118, 20, tmp_cache) is None
+    d = distribution(118, 2, atoms=20, cache_dir=tmp_cache)
+    assert d == distribution(118, 2, atoms=20)
+    with open(path) as fh:
+        assert DriftDistribution.from_json_doc(json.load(fh)) == d
 
 
 def test_cache_schema(tmp_cache):

@@ -52,11 +52,30 @@ def test_sample_digits_never_change():
 
 
 def test_scalar_digits_match_vector_block():
-    for base in (10, 3 * 2**62):  # the second base rejects 1/4 of draws
-        X = rng.digit_block(99, base, 40, range(15), first_index=3)
-        for i in range(40):
-            for j in range(15):
-                assert X[i, j] == rng.digit_at(99, 3 + i, j, base)
+    # 3 * 2**62 rejects 1/4 of draws; position lists may be unordered,
+    # sparse or repeat a position
+    for base in (2, 10, 257, 3 * 2**62):
+        for positions in (range(15), [7], [12, 3, 40], [5, 0, 5, 1]):
+            for first_index in (0, 1000):
+                X = rng.digit_block(99, base, 40, positions, first_index)
+                assert X.shape == (40, len(positions))
+                assert X.dtype == np.min_scalar_type(base - 1)
+                for i in range(40):
+                    for c, j in enumerate(positions):
+                        assert X[i, c] == rng.digit_at(99, first_index + i, j, base)
+
+
+def test_digit_block_memory_is_output_plus_linear():
+    import tracemalloc
+
+    n = 200_000
+    tracemalloc.start()
+    try:
+        X = rng.digit_block(1, 10, n, range(40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * X.nbytes + 64 * n
 
 
 def test_sample_drift_zero_r():

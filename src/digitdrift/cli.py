@@ -33,13 +33,6 @@ def cache_dir_default() -> str:
     return os.environ.get("DIGITDRIFT_CACHE", os.path.join(".", "cache"))
 
 
-def jobs_default() -> int:
-    try:
-        return max(1, int(os.environ.get("DIGITDRIFT_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def parse_r(text: str, base: int, radix_input: bool) -> int:
     if radix_input:
         # digit string, most-significant first; dot-separated for bases > 10
@@ -76,6 +69,8 @@ def fmt_float(x: float) -> str:
 
 def cmd_dist(args) -> int:
     r = parse_r(args.r, args.base, args.radix_input)
+    if args.tail_eps_exp < 0:
+        raise UsageError("--tail-eps must be >= 0")
     tail_eps = Fraction(1, 10**args.tail_eps_exp)
     if args.atoms is not None and args.atoms < 1:
         raise UsageError("--atoms must be >= 1")
@@ -167,6 +162,8 @@ def _verify_r_values(args) -> list[int]:
     if args.random is not None:
         if args.digits is None:
             raise UsageError("--random needs --digits")
+        if args.digits < 1:
+            raise UsageError("--digits must be >= 1")
         rnd = random.Random(args.seed)
         vals = []
         for _ in range(args.random):
@@ -258,30 +255,16 @@ def cmd_verify(args) -> int:
     if unknown:
         raise UsageError(f"unknown checks: {sorted(unknown)}")
 
-    def run_one(r):
-        out = []
-        if "recursion" in checks:
-            out += _check_recursion(r, args.base, args.seed)
-        if "reverse" in checks:
-            out += _check_reverse(r, args.base)
-        if "bounds" in checks:
-            out += _check_bounds(r, args.base)
-        if "enclosure" in checks:
-            out += _check_enclosure(r, args.base, args.level)
-        return out
-
     failures = []
-    if args.jobs > 1:
-        # numpy drops the GIL inside the oracle's array passes, so enclosure
-        # checks overlap across threads; the exact side stays serialized
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for chunk in pool.map(run_one, r_values):
-                failures += chunk
-    else:
-        for r in r_values:
-            failures += run_one(r)
+    for r in r_values:
+        if "recursion" in checks:
+            failures += _check_recursion(r, args.base, args.seed)
+        if "reverse" in checks:
+            failures += _check_reverse(r, args.base)
+        if "bounds" in checks:
+            failures += _check_bounds(r, args.base)
+        if "enclosure" in checks:
+            failures += _check_enclosure(r, args.base, args.level)
     for line in failures:
         print("FAIL", line)
     print(
@@ -395,8 +378,13 @@ def cmd_clt(args) -> int:
             raise UsageError("empty family")
         members = pattern_family(pattern, reps, args.base)
     elif args.list:
-        with open(args.list, "r", encoding="utf-8") as fh:
-            members = [int(line) for line in fh if line.strip()]
+        try:
+            with open(args.list, "r", encoding="utf-8") as fh:
+                members = [int(line) for line in fh if line.strip()]
+        except OSError as exc:
+            raise UsageError(f"cannot read {args.list!r}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise UsageError(f"{args.list!r} holds a line that is not an integer") from exc
         if not members:
             raise UsageError("empty family list")
     else:
@@ -439,10 +427,14 @@ def cmd_phi(args) -> int:
     r = parse_r(args.r, args.base, args.radix_input)
     if r < 1:
         raise UsageError("phi needs r >= 1")
+    if args.samples < 1:
+        raise UsageError("--samples must be >= 1")
     ks = [int(x) for x in args.k.split(",") if x]
     ps = [int(x) for x in args.p.split(",") if x]
     if not ks or not ps:
         raise UsageError("empty --k or --p")
+    if min(ks + ps) < 1:
+        raise UsageError("--k and --p must be >= 1")
     dec = decompose_blocks(expand(r, args.base))
     if dec.lam <= max(ks) + 1:
         raise UsageError(
@@ -512,12 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="recursion,reverse,bounds")
     p.add_argument("--level", type=int, default=None, help="tower level for enclosure")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=jobs_default(),
-        help="worker threads for the sweep (env DIGITDRIFT_JOBS)",
-    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="sampled drift histogram vs exact atoms")

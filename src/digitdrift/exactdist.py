@@ -437,9 +437,12 @@ def load_cached_distribution(
             doc = json.load(fh)
         if doc["base"] != base or int(doc["r"]) != r or len(doc["atoms"]) != K + 1:
             return None  # hash collision or stale file; recompute
-        return DriftDistribution.from_json_doc(doc)
-    except (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError):
-        return None  # truncated or unparseable file; recompute and overwrite
+        dist = DriftDistribution.from_json_doc(doc)
+    except (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError, AssertionError):
+        return None  # truncated, unparseable or negative-mass file; recompute and overwrite
+    if dist.s_r != int_digit_sum(r, base):
+        return None  # a wrong s(r) would shift every lattice position
+    return dist
 
 
 def save_cached_distribution(dist: DriftDistribution, cache_dir: str) -> str:

@@ -7,16 +7,22 @@ the exact recursion: the two sides share no code.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import threading
 
 import numpy as np
 
 from .digits import check_base, expand, int_digit_sum
 from .errors import LevelTooSmall
-from .exactdist import DriftDistribution, lattice_point, mean_interval, second_moment_interval
+from .exactdist import (
+    DriftDistribution,
+    distribution,
+    lattice_point,
+    mean_interval,
+    second_moment_interval,
+    tail_abs_moment_bound,
+)
 
 
 def digit_sum_table(limit: int, base: int) -> np.ndarray:
@@ -49,12 +55,19 @@ def digit_sum_table(limit: int, base: int) -> np.ndarray:
 _CHUNK = 1 << 15
 
 
-def _carry_counts(
-    table: np.ndarray, r: int, m: int, s_r: int, base: int, table_max: int
-) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _table(limit: int, base: int) -> tuple[np.ndarray, int]:
+    """The most recent digit-sum table and its maximum; sweeps reuse it across r."""
+    table = digit_sum_table(limit, base)
+    return table, int(table.max(initial=0))
+
+
+def _carry_counts(r: int, base: int, m: int) -> np.ndarray:
     """counts[c] = |{n < m : adding r to n creates c carries}|."""
-    if not m:
-        return np.zeros(1, dtype=np.int64)
+    if not r or not m:
+        return np.array([m], dtype=np.int64)  # no carries, or nothing counted
+    s_r = int_digit_sum(r, base)
+    table, table_max = _table(m + r, base)
     kmax = (table_max + s_r) // (base - 1) + 2
     # s(n) + s(r) - s(n + r) = c*(b-1) lies in [0, table_max + s(r)], so an
     # unsigned type of that size holds every intermediate; bin the
@@ -76,29 +89,10 @@ def _carry_counts(
     return counts
 
 
-class _TableCache:
-    """Keeps the most recent digit-sum table; sweeps reuse it across r.
-
-    Guarded by a lock so threaded sweeps over a shared (limit, base) only
-    build once; mixed keys stay correct but rebuild.
-    """
-
-    def __init__(self):
-        self.key = None
-        self.table = None
-        self.max = 0
-        self._lock = threading.Lock()
-
-    def get(self, limit: int, base: int) -> tuple[np.ndarray, int]:
-        with self._lock:
-            if self.key != (limit, base):
-                self.table = digit_sum_table(limit, base)
-                self.max = int(self.table.max(initial=0))
-                self.key = (limit, base)
-            return self.table, self.max
-
-
-_tables = _TableCache()
+def _count_at(counts: np.ndarray, r: int, base: int, d: int) -> int:
+    """The count at drift d; 0 when d is off the lattice of r or past the counts."""
+    q, rem = divmod(int_digit_sum(r, base) - d, base - 1)
+    return int(counts[q]) if rem == 0 and 0 <= q < len(counts) else 0
 
 
 def empirical_density(r: int, base: int, n: int) -> dict[int, Fraction]:
@@ -108,11 +102,8 @@ def empirical_density(r: int, base: int, n: int) -> dict[int, Fraction]:
         raise ValueError("n must be >= 1")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if r == 0:
-        return {0: Fraction(1)}
+    counts = _carry_counts(r, base, n)
     s_r = int_digit_sum(r, base)
-    table, tmax = _tables.get(n + r, base)
-    counts = _carry_counts(table, r, n, s_r, base, tmax)
     return {
         lattice_point(s_r, k, base): Fraction(int(c), n)
         for k, c in enumerate(counts)
@@ -134,14 +125,7 @@ def tower_counts(r: int, base: int, level: int) -> tuple[np.ndarray, int, int]:
     if total <= r:
         raise LevelTooSmall(f"base**(level+1) = {total} must exceed r = {r}")
     m = total - r
-    if r == 0:
-        counts = np.zeros(1, dtype=np.int64)
-        counts[0] = m
-        return counts, m, total
-    s_r = int_digit_sum(r, base)
-    table, tmax = _tables.get(total, base)
-    counts = _carry_counts(table, r, m, s_r, base, tmax)
-    return counts, m, total
+    return _carry_counts(r, base, m), m, total
 
 
 def tower_enclosure(
@@ -150,12 +134,7 @@ def tower_enclosure(
     """Exact interval [c/b^(l+1), (c+r)/b^(l+1)] guaranteed to contain the
     atom mass at d; the r uncounted top levels account for the width."""
     counts, _, total = tower_counts(r, base, level)
-    if r == 0:
-        c = counts[0] if d == 0 else 0
-        return Fraction(int(c), total), Fraction(int(c), total)
-    s_r = int_digit_sum(r, base)
-    q, rem = divmod(s_r - d, base - 1)
-    c = int(counts[q]) if rem == 0 and 0 <= q < len(counts) else 0
+    c = _count_at(counts, r, base, d)
     return Fraction(c, total), Fraction(c + r, total)
 
 
@@ -219,20 +198,13 @@ def cesaro_check(
     f is "identity", "square", "abs" or "indicator" (with d). The exact
     side is an interval covering the certified tail.
     """
-    from .exactdist import distribution, tail_abs_moment_bound
-
     check_base(base)
     if f == "indicator" and d is None:
         raise ValueError("indicator needs a point d")
     if dist is None:
         dist = distribution(r, base)
     s_r = dist.s_r
-    if r == 0:
-        counts = np.zeros(1, dtype=np.int64)
-        counts[0] = n
-    else:
-        table, tmax = _tables.get(n + r, base)
-        counts = _carry_counts(table, r, n, s_r, base, tmax)
+    counts = _carry_counts(r, base, n)
     ks = np.arange(len(counts))
     ds = s_r - ks * (base - 1)
     if f == "identity":
@@ -248,8 +220,7 @@ def cesaro_check(
         return CesaroResult(emp, partial, partial + t1)
     if f == "indicator":
         q, rem = divmod(s_r - d, base - 1)
-        c = int(counts[q]) if rem == 0 and 0 <= q < len(counts) else 0
-        emp = Fraction(c, n)
+        emp = Fraction(_count_at(counts, r, base, d), n)
         mass = dist.mass_at(d)
         if rem == 0 and q >= len(dist.atoms):
             return CesaroResult(emp, Fraction(0), dist.tail_mass)

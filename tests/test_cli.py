@@ -317,12 +317,35 @@ def test_phi_lambda_too_small(capsys):
     assert code == 2
 
 
-def test_verify_jobs_deterministic(capsys):
-    args = ["verify", "1..24", "--base", "2", "--checks", "recursion,enclosure", "--level", "10"]
-    code1, out1, _ = run_cli(capsys, *args, "--jobs", "1")
-    code2, out2, _ = run_cli(capsys, *args, "--jobs", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "5", "--tail-eps", "-3"],
+        ["clt", "--list", "{missing}"],
+        ["clt", "--list", "{not_int}"],
+        ["verify", "--random", "3", "--digits", "0"],
+        ["verify", "--random", "3", "--digits", "-2"],
+        ["phi", "10101010101010101010", "--radix-input", "--base", "2", "--samples", "0"],
+        ["phi", "10101010101010101010", "--radix-input", "--base", "2", "--p", "0"],
+    ],
+    ids=[
+        "negative-tail-eps",
+        "missing-list",
+        "non-integer-list",
+        "zero-digits",
+        "negative-digits",
+        "zero-samples",
+        "zero-past-length",
+    ],
+)
+def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
+    not_int = tmp_path / "members.txt"
+    not_int.write_text("5\nseven\n")
+    argv = [a.format(missing=tmp_path / "absent.txt", not_int=not_int) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_parse_r_radix_validation():

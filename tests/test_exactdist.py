@@ -339,10 +339,24 @@ def test_cache_round_trip(tmp_cache):
     assert via == d
 
 
+def _edited_cache_text(edit):
+    import json
+
+    doc = distribution(118, 2, atoms=20).to_json_doc()
+    edit(doc)
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "text",
-    ['{"base": 2, "r": "118", "s_r": 5, "atoms": [{"k": 0, "ma', '', '{"base": 2}'],
-    ids=["truncated", "empty", "missing-keys"],
+    [
+        '{"base": 2, "r": "118", "s_r": 5, "atoms": [{"k": 0, "ma',
+        "",
+        '{"base": 2}',
+        _edited_cache_text(lambda doc: doc["atoms"][3].update(mass="-1/8")),
+        _edited_cache_text(lambda doc: doc.update(s_r=99)),
+    ],
+    ids=["truncated", "empty", "missing-keys", "negative-mass", "wrong-s_r"],
 )
 def test_corrupt_cache_file_is_recomputed(tmp_cache, text):
     import json

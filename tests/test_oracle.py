@@ -3,10 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from digitdrift import oracle
 from digitdrift.digits import int_digit_sum
 from digitdrift.errors import LevelTooSmall
 from digitdrift.exactdist import atom_mass, distribution, variance_exact
 from digitdrift.oracle import (
+    CesaroResult,
     cesaro_check,
     check_enclosures,
     digit_sum_table,
@@ -90,6 +92,8 @@ def test_tower_enclosure_frozen_example():
 
 
 def test_tower_enclosure_zero_r():
+    counts, m, total = tower_counts(0, 10, 2)
+    assert (counts.tolist(), m, total) == ([1000], 1000, 1000)
     assert tower_enclosure(0, 10, 2, 0) == (Fraction(1), Fraction(1))
     assert tower_enclosure(0, 10, 2, 3) == (Fraction(0), Fraction(0))
 
@@ -132,6 +136,21 @@ def test_enclosures_cover_atoms_small_sweep():
             assert check_enclosures(dist, level) == []
 
 
+def test_enclosure_sweep_builds_one_table(monkeypatch):
+    tower_counts(1, 3, 2)  # leave some other table in the one-table cache
+    builds = []
+    real = oracle.digit_sum_table
+
+    def counting(limit, base):
+        builds.append((limit, base))
+        return real(limit, base)
+
+    monkeypatch.setattr(oracle, "digit_sum_table", counting)
+    for r in (1, 5, 17, 60, 118):
+        assert check_enclosures(distribution(r, 2, atoms=12), 12) == []
+    assert builds == [(2**13, 2)]
+
+
 def test_enclosures_cover_atoms_base_200():
     assert check_enclosures(distribution(150, 200), 2) == []
 
@@ -161,6 +180,17 @@ def test_cesaro_abs_interval():
     res = cesaro_check(7, 10, 10**5, "abs")
     assert res.exact_hi - res.exact_lo < Fraction(1, 10**20)
     assert res.distance < Fraction(1, 100)
+
+
+@pytest.mark.parametrize("base", (2, 10))
+def test_cesaro_zero_r(base):
+    zero = CesaroResult(Fraction(0), Fraction(0), Fraction(0))
+    for f in ("identity", "square", "abs"):
+        assert cesaro_check(0, base, 1000, f) == zero
+    one = CesaroResult(Fraction(1), Fraction(1), Fraction(1))
+    assert cesaro_check(0, base, 1000, "indicator", d=0) == one
+    for d in (base - 1, 1 - base, 3):
+        assert cesaro_check(0, base, 1000, "indicator", d=d) == zero
 
 
 def test_cesaro_convergence_two_decades():

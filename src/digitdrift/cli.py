@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cltdiag, exactdist, mixing, odometer, oracle
-from .digits import decompose_blocks, expand, reverse_expansion
+from .digits import block_prefix_integers, decompose_blocks, expand, reverse_expansion
 from .errors import DigitDriftError
 
 EXIT_OK = 0
@@ -147,8 +147,6 @@ def cmd_blocks(args) -> int:
             f"  {blk.kind.value:<7s} digit={blk.digit} length={blk.length} "
             f"lsb_position={blk.position}"
         )
-    from .digits import block_prefix_integers
-
     prefixes = block_prefix_integers(e)
     print("prefix integers:", ", ".join(str(t) for t in prefixes))
     print(f"reverse(r) = {reverse_expansion(e).value()}")
@@ -162,6 +160,8 @@ def _verify_r_values(args) -> list[int]:
     if args.random is not None:
         if args.digits is None:
             raise UsageError("--random needs --digits")
+        if args.random < 0:
+            raise UsageError("--random must be >= 0")
         if args.digits < 1:
             raise UsageError("--digits must be >= 1")
         rnd = random.Random(args.seed)
@@ -549,10 +549,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DigitDriftError as exc:
+    except (UsageError, DigitDriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -79,30 +79,6 @@ class DriftDistribution:
     def digit_count_r(self) -> int:
         return len(expand(self.r, self.base).digits)
 
-    def to_json_doc(self) -> dict:
-        return {
-            "base": self.base,
-            "r": str(self.r),
-            "s_r": self.s_r,
-            "atoms": [
-                {"k": k, "mass": rational_str(m)} for k, m in enumerate(self.atoms)
-            ],
-            "tail": rational_str(self.tail_mass),
-        }
-
-    @classmethod
-    def from_json_doc(cls, doc: dict) -> "DriftDistribution":
-        atoms = [Fraction(0)] * len(doc["atoms"])
-        for entry in doc["atoms"]:
-            atoms[entry["k"]] = parse_rational(entry["mass"])
-        return cls(
-            base=doc["base"],
-            r=int(doc["r"]),
-            s_r=doc["s_r"],
-            atoms=tuple(atoms),
-            tail_mass=parse_rational(doc["tail"]),
-        )
-
 
 def unit_atom_mass(k: int, base: int) -> Fraction:
     """Closed-form mass of the r = 1 drift law at lattice index k:
@@ -134,6 +110,17 @@ def _carry_numerators(r: int, base: int, K: int) -> tuple[list[int], int]:
             [(b - delta - 1) * f + (delta + 1) * g for f, g in zip(F, yG)],
         )
     return F, b ** (K + 1 + len(digits))
+
+
+def _from_numerators(r: int, base: int, nums: list[int], den: int) -> DriftDistribution:
+    """The drift law of r with atom k = nums[k] / den and the rest as tail."""
+    return DriftDistribution(
+        base,
+        r,
+        int_digit_sum(r, base),
+        tuple(Fraction(n, den) for n in nums),
+        Fraction(den - sum(nums), den),
+    )
 
 
 def atom_mass(r: int, base: int, d: int) -> Fraction:
@@ -170,7 +157,8 @@ def distribution(
     """Exact atoms 0..K of the drift law of r, with the exact tail mass.
 
     K is `atoms` when given, otherwise the default cutoff for `tail_eps`.
-    With cache_dir set, results are read from / written to the JSON cache.
+    With cache_dir set, the carry numerators are read from / written to
+    the JSON cache.
     """
     check_base(base)
     if r < 0:
@@ -186,16 +174,9 @@ def distribution(
         if cached is not None:
             return cached
     nums, den = _carry_numerators(r, base, K)
-    dist = DriftDistribution(
-        base,
-        r,
-        int_digit_sum(r, base),
-        tuple(Fraction(n, den) for n in nums),
-        Fraction(den - sum(nums), den),
-    )
     if cache_dir is not None:
-        save_cached_distribution(dist, cache_dir)
-    return dist
+        save_cached_distribution(base, r, nums, den, cache_dir)
+    return _from_numerators(r, base, nums, den)
 
 
 # --- certified tail bounds ------------------------------------------------
@@ -421,37 +402,59 @@ def std_dev(r: int, base: int, precision_bits: int = 53) -> Fraction:
 # --- distribution cache -----------------------------------------------------
 
 
+CACHE_VERSION = 2
+
+
 def cache_key(base: int, r: int, K: int) -> str:
-    digest = sha256(f"{base}:{r}:{K}".encode()).hexdigest()[:20]
+    digest = sha256(f"{base}:{r:x}:{K}".encode()).hexdigest()[:20]
     return f"dist_b{base}_K{K}_{digest}.json"
 
 
 def load_cached_distribution(
     base: int, r: int, K: int, cache_dir: str
 ) -> DriftDistribution | None:
+    """The cached law of r with atoms 0..K, or None on a miss.
+
+    The file holds the carry numerators over b**(K+1+L) and the tail
+    numerator, all in hex. Any file that is not such a document, or whose
+    numerators are negative or do not sum to the denominator, is a miss.
+    """
     path = os.path.join(cache_dir, cache_key(base, r, K))
     if not os.path.exists(path):
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if doc["base"] != base or int(doc["r"]) != r or len(doc["atoms"]) != K + 1:
-            return None  # hash collision or stale file; recompute
-        dist = DriftDistribution.from_json_doc(doc)
-    except (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError, AssertionError):
-        return None  # truncated, unparseable or negative-mass file; recompute and overwrite
-    if dist.s_r != int_digit_sum(r, base):
-        return None  # a wrong s(r) would shift every lattice position
-    return dist
+        key = (doc["version"], doc["base"], int(doc["r"], 16))
+        nums = [int(n, 16) for n in doc["nums"]]
+        tail = int(doc["tail"], 16)
+    except (ValueError, KeyError, TypeError):
+        return None  # truncated, unparseable or not a v2 document; recompute and overwrite
+    if key != (CACHE_VERSION, base, r) or len(nums) != K + 1:
+        return None  # another version, a hash collision or a stale file
+    den = base ** (K + 1 + len(expand(r, base).digits))
+    if min(nums) < 0 or tail < 0 or sum(nums) + tail != den:
+        return None  # not a split of the total mass
+    return _from_numerators(r, base, nums, den)
 
 
-def save_cached_distribution(dist: DriftDistribution, cache_dir: str) -> str:
+def save_cached_distribution(
+    base: int, r: int, nums: list[int], den: int, cache_dir: str
+) -> str:
+    """Write the carry numerators of r over den; returns the file path."""
+    doc = {
+        "version": CACHE_VERSION,
+        "base": base,
+        "r": hex(r),
+        "nums": [hex(n) for n in nums],
+        "tail": hex(den - sum(nums)),
+    }
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, cache_key(dist.base, dist.r, len(dist.atoms) - 1))
+    path = os.path.join(cache_dir, cache_key(base, r, len(nums) - 1))
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(dist.to_json_doc(), fh)
+            json.dump(doc, fh)
         os.replace(tmp, path)  # atomic on POSIX
     except BaseException:
         if os.path.exists(tmp):

@@ -220,7 +220,7 @@ class PhiEstimate:
         return self.estimate - self.ci > self.bound
 
 
-def _side_events(X: np.ndarray, cols: list[int], laws) -> tuple[np.ndarray, list[str]]:
+def _side_events(X: np.ndarray, cols: list[int], laws) -> np.ndarray:
     """Boolean event matrix for one side of the gap.
 
     Per index: four one-coordinate events (>= exact median, == exact mode,
@@ -228,29 +228,23 @@ def _side_events(X: np.ndarray, cols: list[int], laws) -> tuple[np.ndarray, list
     when the side has at least two indices.
     """
     preds = []
-    labels = []
     per_col = {}
     for c in cols:
-        med = exact_median(laws[c])
-        mode = exact_mode(laws[c])
         col = X[:, c]
         four = [
-            (col >= med, f"X{c + 1}>={med}"),
-            (col == mode, f"X{c + 1}=={mode}"),
-            (col <= -1, f"X{c + 1}<=-1"),
-            (col == 0, f"X{c + 1}==0"),
+            col >= exact_median(laws[c]),
+            col == exact_mode(laws[c]),
+            col <= -1,
+            col == 0,
         ]
         per_col[c] = four
-        for ev, lab in four:
-            preds.append(ev)
-            labels.append(lab)
+        preds += four
     if len(cols) >= 2:
         i, j = cols[0], cols[-1]
-        for evi, labi in per_col[i]:
-            for evj, labj in per_col[j]:
+        for evi in per_col[i]:
+            for evj in per_col[j]:
                 preds.append(evi & evj)
-                labels.append(f"{labi}&{labj}")
-    return np.column_stack(preds), labels
+    return np.column_stack(preds)
 
 
 def estimate_phi(
@@ -285,8 +279,8 @@ def estimate_phi(
     laws = block_laws(r, base)
     a_cols = list(range(min(p, lam)))
     b_cols = list(range(p + k - 1, lam))
-    A, _ = _side_events(X, a_cols, laws)
-    B, _ = _side_events(X, b_cols, laws)
+    A = _side_events(X, a_cols, laws)
+    B = _side_events(X, b_cols, laws)
     count_a = A.sum(axis=0)
     keep = count_a >= min_hits
     if not keep.any():

@@ -43,8 +43,8 @@ def test_dist_unit_base2(capsys, tmp_cache):
     assert len(files) == 1
     with open(os.path.join(tmp_cache, files[0])) as fh:
         doc = json.load(fh)
-    assert doc["r"] == "1"
-    assert doc["tail"] == "1/16"
+    assert doc["r"] == "0x1"
+    assert doc["tail"] == hex(2)  # tail 1/16 = 2 / b**(K+1+L), K = 3, L = 1
 
 
 def test_dist_zero(capsys, tmp_cache):
@@ -325,6 +325,7 @@ def test_phi_lambda_too_small(capsys):
         ["clt", "--list", "{not_int}"],
         ["verify", "--random", "3", "--digits", "0"],
         ["verify", "--random", "3", "--digits", "-2"],
+        ["verify", "--random", "-1", "--digits", "3"],
         ["phi", "10101010101010101010", "--radix-input", "--base", "2", "--samples", "0"],
         ["phi", "10101010101010101010", "--radix-input", "--base", "2", "--p", "0"],
     ],
@@ -334,6 +335,7 @@ def test_phi_lambda_too_small(capsys):
         "non-integer-list",
         "zero-digits",
         "negative-digits",
+        "negative-count",
         "zero-samples",
         "zero-past-length",
     ],

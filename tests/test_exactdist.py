@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from digitdrift.digits import expand, int_digit_sum, reverse_expansion
 from digitdrift.errors import NotSingleBlock, TailBoundUnavailable, ZeroHasNoBlocks
 from digitdrift.exactdist import (
-    DriftDistribution,
     atom_mass,
     cache_key,
     carry_tail_probability_bound,
@@ -331,56 +332,96 @@ def test_rational_round_trip():
 
 def test_cache_round_trip(tmp_cache):
     d = distribution(118, 2, atoms=20)
-    save_cached_distribution(d, tmp_cache)
-    back = load_cached_distribution(2, 118, 20, tmp_cache)
-    assert back == d
+    assert load_cached_distribution(2, 118, 20, tmp_cache) is None
+    assert distribution(118, 2, atoms=20, cache_dir=tmp_cache) == d  # miss: saved
+    assert load_cached_distribution(2, 118, 20, tmp_cache) == d
     assert load_cached_distribution(2, 119, 20, tmp_cache) is None
-    via = distribution(118, 2, atoms=20, cache_dir=tmp_cache)
-    assert via == d
+    assert distribution(118, 2, atoms=20, cache_dir=tmp_cache) == d  # hit
 
 
-def _edited_cache_text(edit):
-    import json
+def test_huge_r_cache_round_trip(tmp_cache):
+    # 5001 decimal digits: past the int <-> decimal str conversion limit
+    r = 10**5000 + 7
+    d = distribution(r, 10, atoms=3)
+    assert load_cached_distribution(10, r, 3, tmp_cache) is None
+    assert distribution(r, 10, atoms=3, cache_dir=tmp_cache) == d
+    assert load_cached_distribution(10, r, 3, tmp_cache) == d
+    assert distribution(r, 10, atoms=3, cache_dir=tmp_cache) == d
 
-    doc = distribution(118, 2, atoms=20).to_json_doc()
-    edit(doc)
+
+def _move_mass_below_zero(doc):
+    # atom 3 becomes -1 and atom 4 takes the difference: the sum still holds
+    nums = [int(n, 16) for n in doc["nums"]]
+    nums[4] += nums[3] + 1
+    nums[3] = -1
+    doc["nums"] = [hex(n) for n in nums]
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"base": 2, "r": "118", "s_r": 5, "atoms": [{"k": 0, "ma',
-        "",
-        '{"base": 2}',
-        _edited_cache_text(lambda doc: doc["atoms"][3].update(mass="-1/8")),
-        _edited_cache_text(lambda doc: doc.update(s_r=99)),
-    ],
-    ids=["truncated", "empty", "missing-keys", "negative-mass", "wrong-s_r"],
-)
-def test_corrupt_cache_file_is_recomputed(tmp_cache, text):
-    import json
-    import os
+def _v1_text(doc):
+    d = distribution(118, 2, atoms=20)
+    return json.dumps(
+        {
+            "base": 2,
+            "r": "118",
+            "s_r": d.s_r,
+            "atoms": [{"k": k, "mass": rational_str(m)} for k, m in enumerate(d.atoms)],
+            "tail": rational_str(d.tail_mass),
+        }
+    )
 
-    os.makedirs(tmp_cache)
-    path = os.path.join(tmp_cache, cache_key(2, 118, 20))
-    with open(path, "w") as fh:
-        fh.write(text)
-    assert load_cached_distribution(2, 118, 20, tmp_cache) is None
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: json.dumps(doc)[:40],
+        lambda doc: "",
+        lambda doc: '{"version": 2, "base": 2}',
+        _v1_text,
+        lambda doc: json.dumps({**doc, "version": 3}),
+        _move_mass_below_zero,
+        # atom 0 becomes 5/1: 5 * b**(K+1+L), K = 20, L = 7
+        lambda doc: json.dumps({**doc, "nums": [hex(5 * 2**28)] + doc["nums"][1:]}),
+        lambda doc: json.dumps({**doc, "r": hex(119)}),
+    ],
+    ids=[
+        "truncated",
+        "empty",
+        "missing-keys",
+        "v1-format",
+        "wrong-version",
+        "negative-mass",
+        "wrong-sum",
+        "wrong-r",
+    ],
+)
+def test_corrupt_cache_file_is_recomputed(tmp_cache, corrupt):
     d = distribution(118, 2, atoms=20, cache_dir=tmp_cache)
-    assert d == distribution(118, 2, atoms=20)
+    path = os.path.join(tmp_cache, cache_key(2, 118, 20))
     with open(path) as fh:
-        assert DriftDistribution.from_json_doc(json.load(fh)) == d
+        good = fh.read()
+    with open(path, "w") as fh:
+        fh.write(corrupt(json.loads(good)))
+    assert load_cached_distribution(2, 118, 20, tmp_cache) is None
+    assert distribution(118, 2, atoms=20, cache_dir=tmp_cache) == d
+    with open(path) as fh:
+        assert fh.read() == good
 
 
 def test_cache_schema(tmp_cache):
-    d = distribution(7, 10, atoms=5)
-    path = save_cached_distribution(d, tmp_cache)
-    import json
-
-    with open(path) as fh:
+    d = distribution(7, 10, atoms=5, cache_dir=tmp_cache)
+    assert os.listdir(tmp_cache) == [cache_key(10, 7, 5)]
+    with open(os.path.join(tmp_cache, cache_key(10, 7, 5))) as fh:
         doc = json.load(fh)
-    assert set(doc) == {"base", "r", "s_r", "atoms", "tail"}
-    assert doc["r"] == "7"
-    assert doc["atoms"][0] == {"k": 0, "mass": "3/10"}
-    assert DriftDistribution.from_json_doc(doc) == d
+    assert set(doc) == {"version", "base", "r", "nums", "tail"}
+    assert (doc["version"], doc["base"], doc["r"]) == (2, 10, "0x7")
+    den = 10 ** (5 + 1 + 1)  # b**(K+1+L)
+    nums = [int(n, 16) for n in doc["nums"]]
+    assert doc["nums"][0] == hex(3 * 10**6)  # atom 0 is 3/10
+    assert tuple(Fraction(n, den) for n in nums) == d.atoms
+    assert Fraction(int(doc["tail"], 16), den) == d.tail_mass
+    assert sum(nums) + int(doc["tail"], 16) == den
+    path = save_cached_distribution(10, 7, nums, den, tmp_cache)
+    assert path == os.path.join(tmp_cache, cache_key(10, 7, 5))
+    with open(path) as fh:
+        assert json.load(fh) == doc

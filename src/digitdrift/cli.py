@@ -7,6 +7,7 @@ deterministic given the flags (and the seed where sampling is involved).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -281,6 +282,8 @@ def cmd_simulate(args) -> int:
     r = parse_r(args.r, args.base, args.radix_input)
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
+    if args.cap < 0:
+        raise UsageError("--cap must be >= 0")
     n = args.samples
     dist = exactdist.distribution(r, args.base, cache_dir=args.cache)
     # one digit matrix serves the drift draws and the per-block process
@@ -338,33 +341,18 @@ def pattern_family(pattern: str, reps: list[int], base: int) -> list[int]:
     return out
 
 
+_RATE_FIELDS = [f.name for f in dataclasses.fields(cltdiag.RateRow)]
+RATE_COLUMNS = ["lambda" if name == "lam" else name for name in _RATE_FIELDS]
+
+
+def _rate_cell(value) -> str:
+    if isinstance(value, Fraction):
+        return exactdist.rational_str(value)
+    return fmt_float(value) if isinstance(value, float) else str(value)
+
+
 def _rate_row_cells(row) -> list[str]:
-    return [
-        str(row.r),
-        str(row.base),
-        str(row.rho),
-        str(row.lam),
-        exactdist.rational_str(row.variance),
-        fmt_float(row.ks_lo),
-        fmt_float(row.ks_hi),
-        fmt_float(row.ks_times_rho_eighth),
-        fmt_float(row.smooth_gap),
-        fmt_float(row.smooth_gap_times_sqrt_rho),
-    ]
-
-
-RATE_COLUMNS = [
-    "r",
-    "base",
-    "rho",
-    "lambda",
-    "variance",
-    "ks_lo",
-    "ks_hi",
-    "ks_times_rho_eighth",
-    "smooth_gap",
-    "smooth_gap_times_sqrt_rho",
-]
+    return [_rate_cell(getattr(row, name)) for name in _RATE_FIELDS]
 
 
 def cmd_clt(args) -> int:
@@ -394,15 +382,18 @@ def cmd_clt(args) -> int:
     lines += [",".join(_rate_row_cells(row)) for row in report.rows]
     csv_text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
         json_path = os.path.splitext(args.out)[0] + ".json"
         rows_json = [
             dict(zip(RATE_COLUMNS, _rate_row_cells(row))) for row in report.rows
         ]
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(rows_json, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(csv_text)
+            with open(json_path, "w", encoding="utf-8") as fh:
+                json.dump(rows_json, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {exc.filename!r}: {exc.strerror}") from exc
         print(f"wrote {args.out} and {json_path}")
     else:
         sys.stdout.write(csv_text)
@@ -441,20 +432,20 @@ def cmd_phi(args) -> int:
             f"lambda(r) = {dec.lam} too small for max gap {max(ks)} (need > max k + 1)"
         )
     X = mixing.process_matrix(r, args.base, args.samples, args.seed)
+    # every estimate before any output, so an error leaves stdout empty
+    ests = [
+        mixing.estimate_phi(r, args.base, k, p, args.samples, seed=args.seed, values=X)
+        for k in ks
+        for p in ps
+    ]
     print("r,base,k,p,family_id,estimate,ci,bound,violated")
-    violated = False
-    for k in ks:
-        for p in ps:
-            est = mixing.estimate_phi(
-                r, args.base, k, p, args.samples, seed=args.seed, values=X
-            )
-            violated = violated or est.violated
-            print(
-                f"{r},{args.base},{k},{p},{est.event_family},"
-                f"{fmt_float(est.estimate)},{fmt_float(est.ci)},"
-                f"{fmt_float(est.bound)},{est.violated}"
-            )
-    return EXIT_VIOLATION if violated else EXIT_OK
+    for est in ests:
+        print(
+            f"{r},{args.base},{est.k},{est.p},{est.event_family},"
+            f"{fmt_float(est.estimate)},{fmt_float(est.ci)},"
+            f"{fmt_float(est.bound)},{est.violated}"
+        )
+    return EXIT_VIOLATION if any(est.violated for est in ests) else EXIT_OK
 
 
 # --- entry point --------------------------------------------------------------
@@ -547,11 +538,17 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # r crosses text only here: read and print it at any digit count, and
+    # leave Python's int <-> str limit as it was for everyone else
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (UsageError, DigitDriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from .exactdist import (
 SQRT2 = math.sqrt(2.0)
 SQRT2PI = math.sqrt(2.0 * math.pi)
 KS_TAIL_LIMIT = 1e-6
+CHAIN_GRID_POINTS = 801  # shift points spanning the support in mollifier_chain_check
 
 # sup |f'''| of the mollifier profile, attained at 1/2 (value 105/2).
 MOLLIFIER_D3_SUP = 52.5
@@ -87,16 +88,21 @@ def normalized_support(dist: DriftDistribution) -> tuple[np.ndarray, np.ndarray]
     return pos[::-1], mass[::-1]
 
 
-def ks_distance(dist: DriftDistribution, tail_limit: float = KS_TAIL_LIMIT) -> tuple[float, float]:
+def _checked_tail(dist: DriftDistribution) -> float:
+    tail = float(dist.tail_mass)
+    if tail >= KS_TAIL_LIMIT:
+        raise TailTooHeavy(f"tail mass {tail} >= {KS_TAIL_LIMIT}")
+    return tail
+
+
+def ks_distance(dist: DriftDistribution) -> tuple[float, float]:
     """Bracket of sup_t |F_r(t) - Phi(t)| for the normalized law.
 
     Exact at and between the atoms; the unknown tail (all of it below the
     lowest computed atom) widens the upper end, as does the normal mass
     beyond the computed support.
     """
-    tail = float(dist.tail_mass)
-    if tail >= tail_limit:
-        raise TailTooHeavy(f"tail mass {tail} >= {tail_limit}")
+    tail = _checked_tail(dist)
     pos, mass = normalized_support(dist)
     cdf_vals = np.array([normal_cdf(t) for t in pos])
     cum = tail + np.concatenate(([0.0], np.cumsum(mass)))
@@ -126,15 +132,13 @@ def gaussian_mollifier_expectation(t: float, eps: float) -> float:
     return normal_cdf(t - eps) + ramp
 
 
-def smooth_gap(dist: DriftDistribution, h, tail_limit: float = KS_TAIL_LIMIT) -> float:
+def smooth_gap(dist: DriftDistribution, h) -> float:
     """|E h(Z) - E h(Y)| with Z the normalized drift and Y standard normal.
 
     h is "cubic", "sin", or ("mollifier", t, eps). The atom sum is exact up
     to the certified tail; E h(Y) is analytic (odd h) or quadrature.
     """
-    tail = float(dist.tail_mass)
-    if tail >= tail_limit:
-        raise TailTooHeavy(f"tail mass {tail} >= {tail_limit}")
+    tail = _checked_tail(dist)
     pos, mass = normalized_support(dist)
     if h == "cubic":
         e_z = float(np.sum(mass * pos**3))
@@ -175,9 +179,7 @@ class MollifierChainCheck:
         return self.ks_hi <= self.smooth_sup + self.slack + 1e-10
 
 
-def mollifier_chain_check(
-    dist: DriftDistribution, eps: float, grid_points: int = 801
-) -> MollifierChainCheck:
+def mollifier_chain_check(dist: DriftDistribution, eps: float) -> MollifierChainCheck:
     """Numerical check that the CDF distance is controlled by the mollifier
     gaps plus 4 eps / sqrt(2 pi).
 
@@ -189,7 +191,7 @@ def mollifier_chain_check(
     _, ks_hi = ks_distance(dist)
     pos, mass = normalized_support(dist)
     tail = float(dist.tail_mass)
-    span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, grid_points)
+    span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, CHAIN_GRID_POINTS)
     ts = np.unique(np.concatenate([span, pos, pos - eps, pos + eps]))
     # E h_t(Z) for all t at once: ramp contribution per atom
     arg = (eps - ts[:, None] + pos[None, :]) / (2.0 * eps)
@@ -233,19 +235,13 @@ class RateReport:
         return float("inf") if lo == 0 else max(vals) / lo
 
 
-def rate_report(
-    family,
-    base: int,
-    cache_dir: str | None = None,
-    tail_eps: Fraction | None = None,
-) -> RateReport:
+def rate_report(family, base: int, cache_dir: str | None = None) -> RateReport:
     """One diagnostics row per family member: block counts, variance, CDF
     distance bracket and the cubic smooth gap, with rate-normalized columns."""
     check_base(base)
     rows = []
     for r in family:
-        kwargs = {} if tail_eps is None else {"tail_eps": tail_eps}
-        dist = distribution(r, base, cache_dir=cache_dir, **kwargs)
+        dist = distribution(r, base, cache_dir=cache_dir)
         rho, lam = rho_lambda(r, base)
         var = variance_exact(r, base)
         ks_lo, ks_hi = ks_distance(dist)
@@ -267,13 +263,11 @@ def rate_report(
     return RateReport(tuple(rows))
 
 
-def local_limit_gap(
-    r: int, d: int, dist: DriftDistribution | None = None, cache_dir: str | None = None
-) -> float:
+def local_limit_gap(r: int, d: int, dist: DriftDistribution) -> float:
     """|atom mass at d - Gaussian density 1/(sigma sqrt(2 pi)) e^{-d^2/2
-    sigma^2}|, base 2 only."""
-    if dist is None:
-        dist = distribution(r, 2, cache_dir=cache_dir)
+    sigma^2}|, base 2 only; dist is the law of r."""
+    if dist.r != r:
+        raise ValueError(f"dist is the law of r = {dist.r}, not of r = {r}")
     if dist.base != 2:
         raise InvalidBase("the local limit comparison is defined for base 2")
     var = float(variance_exact(r, 2))

@@ -16,12 +16,7 @@ import numpy as np
 from .digits import block_prefix_integers, check_base, expand, int_digit_sum
 from .errors import InsufficientSamples
 from .exactdist import DriftDistribution, distribution
-from .odometer import (
-    DEFAULT_PROPAGATION_CAP,
-    prefix_digit_sums,
-    sample_digit_matrix,
-    sample_drift,
-)
+from .odometer import prefix_digit_sums, sample_digit_matrix, sample_drift
 
 # Wilson score z for 99.9% two-sided confidence.
 WILSON_Z = 3.290526731491926
@@ -36,7 +31,7 @@ class MixingProcessSample:
     total: int
 
 
-def sample_process(sample, r: int, cap: int = DEFAULT_PROPAGATION_CAP) -> MixingProcessSample:
+def sample_process(sample, r: int) -> MixingProcessSample:
     """Per-block drift contributions of one sampled digit string.
 
     values[i-1] is the drift added by the i-th nonzero block (left to
@@ -45,7 +40,7 @@ def sample_process(sample, r: int, cap: int = DEFAULT_PROPAGATION_CAP) -> Mixing
     b = sample.base
     prefixes = block_prefix_integers(expand(r, b))
     # realize enough digits that x + r stays inside the prefix
-    probe = sample_drift(sample, r, cap)
+    probe = sample_drift(sample, r)
     m = max(probe.digits_consumed, 1)
     x = sample.prefix_value(m)
     sums = [int_digit_sum(x + t, b) for t in prefixes]
@@ -53,22 +48,13 @@ def sample_process(sample, r: int, cap: int = DEFAULT_PROPAGATION_CAP) -> Mixing
     return MixingProcessSample(r, b, values, sums[-1] - sums[0])
 
 
-def process_matrix(
-    r: int,
-    base: int,
-    n_samples: int,
-    seed: int,
-    first_index: int = 0,
-    cap: int = DEFAULT_PROPAGATION_CAP,
-) -> np.ndarray:
+def process_matrix(r: int, base: int, n_samples: int, seed: int) -> np.ndarray:
     """Per-block drift values for a batch: shape (n_samples, lambda), int16,
     or int64 when a value does not fit in int16 (large bases).
 
     Row sums equal the plain drift draws for the same (seed, index).
     """
-    return process_from_digits(
-        sample_digit_matrix(r, base, n_samples, seed, first_index, cap), r, base
-    )
+    return process_from_digits(sample_digit_matrix(r, base, n_samples, seed), r, base)
 
 
 def process_from_digits(X: np.ndarray, r: int, base: int) -> np.ndarray:
@@ -82,7 +68,7 @@ def process_from_digits(X: np.ndarray, r: int, base: int) -> np.ndarray:
     return np.ascontiguousarray(V, dtype=np.int64 if wide else np.int16)
 
 
-def block_laws(r: int, base: int, atoms: int | None = None) -> list[DriftDistribution]:
+def block_laws(r: int, base: int) -> list[DriftDistribution]:
     """Exact marginal law of each per-block contribution.
 
     Block i acts like adding its own block value (trailing zeros do not
@@ -96,7 +82,7 @@ def block_laws(r: int, base: int, atoms: int | None = None) -> list[DriftDistrib
         while v % base == 0:
             v //= base
         values.append(v)
-    laws = {v: distribution(v, base, atoms=atoms) for v in set(values)}
+    laws = {v: distribution(v, base) for v in set(values)}
     return [laws[v] for v in values]
 
 
@@ -189,13 +175,13 @@ def smooth_gap_budget(
     )
 
 
-def wilson_radius(successes: int, trials: int, z: float = WILSON_Z) -> float:
-    """Half-width of the Wilson score interval."""
+def wilson_radius(successes: int, trials: int) -> float:
+    """Half-width of the Wilson score interval at z = WILSON_Z."""
     if trials == 0:
         return 1.0
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     return (
-        z
+        WILSON_Z
         * math.sqrt(successes * (trials - successes) / trials + z2 / 4.0)
         / (trials + z2)
     )
@@ -254,14 +240,13 @@ def estimate_phi(
     p: int,
     n_samples: int,
     seed: int = 0,
-    min_hits: int = MIN_EVENT_HITS,
     values: np.ndarray | None = None,
 ) -> PhiEstimate:
     """Empirical lower-bound estimate of the mixing coefficient at gap k.
 
     Maximizes |P_A(B) - P(B)| over the restricted event family, with A over
     the first p blocks and B over blocks at index >= p + k. Conditioning
-    events with fewer than min_hits hits are dropped. A precomputed
+    events with fewer than MIN_EVENT_HITS hits are dropped. A precomputed
     process_matrix for the same (r, base, n, seed) can be passed as values.
     """
     check_base(base)
@@ -276,16 +261,18 @@ def estimate_phi(
             r, base, k, p, 0.0, 0.0, bound, n_samples, "default", 0, 0
         )
     X = process_matrix(r, base, n_samples, seed) if values is None else values
+    if X.shape != (n_samples, lam):
+        raise ValueError(f"values has shape {X.shape}, not ({n_samples}, {lam})")
     laws = block_laws(r, base)
     a_cols = list(range(min(p, lam)))
     b_cols = list(range(p + k - 1, lam))
     A = _side_events(X, a_cols, laws)
     B = _side_events(X, b_cols, laws)
     count_a = A.sum(axis=0)
-    keep = count_a >= min_hits
+    keep = count_a >= MIN_EVENT_HITS
     if not keep.any():
         raise InsufficientSamples(
-            f"every conditioning event has fewer than {min_hits} hits"
+            f"every conditioning event has fewer than {MIN_EVENT_HITS} hits"
         )
     A = A[:, keep]
     count_a = count_a[keep]

@@ -37,9 +37,6 @@ class LazyBadicSample:
             )
         return self._digits[i]
 
-    def realized_count(self) -> int:
-        return len(self._digits)
-
     def prefix_value(self, m: int) -> int:
         """Integer value of digits 0..m-1."""
         v = 0
@@ -220,19 +217,14 @@ def prefix_digit_sums(
 
 
 def drift_samples(
-    r: int,
-    base: int,
-    n_samples: int,
-    seed: int,
-    first_index: int = 0,
-    cap: int = DEFAULT_PROPAGATION_CAP,
+    r: int, base: int, n_samples: int, seed: int, first_index: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized drift draws: (delta, carries) arrays of length n_samples.
 
     Entry i equals sample_drift on LazyBadicSample(base, seed, first_index+i).
     """
     return drift_from_digits(
-        sample_digit_matrix(r, base, n_samples, seed, first_index, cap), r, base
+        sample_digit_matrix(r, base, n_samples, seed, first_index), r, base
     )
 
 

@@ -185,14 +185,7 @@ class CesaroResult:
         )
 
 
-def cesaro_check(
-    r: int,
-    base: int,
-    n: int,
-    f: str,
-    d: int | None = None,
-    dist: DriftDistribution | None = None,
-) -> CesaroResult:
+def cesaro_check(r: int, base: int, n: int, f: str, d: int | None = None) -> CesaroResult:
     """Counting average of f(drift) over 0..n-1 against the exact atom sum.
 
     f is "identity", "square", "abs" or "indicator" (with d). The exact
@@ -201,8 +194,7 @@ def cesaro_check(
     check_base(base)
     if f == "indicator" and d is None:
         raise ValueError("indicator needs a point d")
-    if dist is None:
-        dist = distribution(r, base)
+    dist = distribution(r, base)
     s_r = dist.s_r
     counts = _carry_counts(r, base, n)
     ks = np.arange(len(counts))

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -328,6 +329,13 @@ def test_phi_lambda_too_small(capsys):
         ["verify", "--random", "-1", "--digits", "3"],
         ["phi", "10101010101010101010", "--radix-input", "--base", "2", "--samples", "0"],
         ["phi", "10101010101010101010", "--radix-input", "--base", "2", "--p", "0"],
+        ["phi", "10101010101010101010", "--radix-input", "--base", "2", "--k", "3",
+         "--samples", "10"],
+        ["clt", "--family", "10@2,4", "--base", "2", "--out", "{missing}/x.csv",
+         "--cache", "{cache}"],
+        ["simulate", "0", "--cap", "-1", "--cache", "{cache}"],
+        ["simulate", "1048575", "--base", "2", "--samples", "4096", "--cap", "0",
+         "--cache", "{cache}"],
     ],
     ids=[
         "negative-tail-eps",
@@ -338,16 +346,42 @@ def test_phi_lambda_too_small(capsys):
         "negative-count",
         "zero-samples",
         "zero-past-length",
+        "phi-insufficient-samples",
+        "clt-unwritable-out",
+        "negative-cap",
+        "cap-exceeded",
     ],
 )
 def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
     not_int = tmp_path / "members.txt"
     not_int.write_text("5\nseven\n")
-    argv = [a.format(missing=tmp_path / "absent.txt", not_int=not_int) for a in argv]
+    argv = [
+        a.format(missing=tmp_path / "absent.txt", not_int=not_int, cache=tmp_path / "cache")
+        for a in argv
+    ]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("radix", [False, True], ids=["decimal", "radix-input"])
+def test_r_beyond_str_digit_limit(capsys, tmp_cache, radix):
+    # 5000 digits is past Python's 4300-digit int <-> str conversion limit
+    text = "1" + "0" * 4998 + "7"
+    r_args = [text, "--radix-input"] if radix else [text]
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "blocks", *r_args)
+    assert code == 0
+    assert out.startswith(f"r = {text}  base = 10  digits = {text}\n")
+    code, out, _ = run_cli(
+        capsys, "dist", *r_args, "--atoms", "3", "--format", "json", "--cache", tmp_cache
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["r"] == text
+    assert len(doc["atoms"]) == 3
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_parse_r_radix_validation():

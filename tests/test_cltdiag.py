@@ -265,6 +265,12 @@ def test_local_limit_gap():
     assert local_limit_gap(3, far, dist=d3) == pytest.approx(g, abs=1e-18)
 
 
+def test_local_limit_gap_rejects_law_of_another_r():
+    # the variance of 5 against the masses of 118 would read 0.0277
+    with pytest.raises(ValueError):
+        local_limit_gap(5, 0, dist=distribution(118, 2))
+
+
 def test_third_abs_moment_tracks_normal_limit():
     # E|Z|^3 approaches E|Y|^3 = 2*sqrt(2/pi) as the block count grows
     # (m=4 sits near the limit by accident; the trend is clean from m=16)

@@ -175,6 +175,16 @@ def test_estimate_phi_insufficient_samples():
         estimate_phi(pattern_10(8), 2, k=3, p=1, n_samples=30, seed=1)
 
 
+def test_estimate_phi_rejects_values_of_another_size():
+    # p_b divides by n_samples, so rows of a smaller matrix read as 0.694
+    # where the right estimate is 0.0356
+    r = pattern_10(8)
+    X = process_matrix(r, 2, 4000, seed=1)
+    assert estimate_phi(r, 2, 3, 1, 4000, seed=1, values=X).estimate < 0.05
+    with pytest.raises(ValueError):
+        estimate_phi(r, 2, 3, 1, 40000, seed=1, values=X)
+
+
 def test_wilson_radius_sane():
     assert wilson_radius(0, 0) == 1.0
     r = wilson_radius(500, 1000)

@@ -183,6 +183,12 @@ def test_digit_matrix_wide_enough():
     assert all(int(x) + 999 < 10 ** X.shape[1] for x in x_vals)
 
 
+def test_digit_matrix_propagation_cap():
+    # 20 ones: every row but x = 0 carries past the digits of r
+    with pytest.raises(PropagationCapExceeded):
+        sample_digit_matrix(2**20 - 1, 2, 4096, 0, cap=0)
+
+
 def test_prefix_digit_sums_against_integers():
     base, m, n = 3, 6, 500
     Xt = rng.digit_block(5, base, n, range(m)).T

@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import cltdiag, exactdist, mixing, odometer, oracle
-from .digits import block_prefix_integers, decompose_blocks, expand, reverse_expansion
+from .digits import block_prefix_integers, decompose_blocks, digits_value, expand
+from .digits import reverse_expansion, rho_lambda
 from .errors import DigitDriftError
 
 EXIT_OK = 0
@@ -34,24 +35,31 @@ def cache_dir_default() -> str:
     return os.environ.get("DIGITDRIFT_CACHE", os.path.join(".", "cache"))
 
 
+def _clip(text: str) -> str:
+    """repr of text for an error message, cut to its first 40 characters."""
+    return repr(text if len(text) <= 40 else text[:40] + "...")
+
+
+def parse_digits(text: str, base: int) -> list[int]:
+    """Base-b digits, most-significant first, in the format Expansion
+    prints: dot-separated when the text holds a dot, else one per character."""
+    parts = text.split(".") if "." in text else list(text)
+    try:
+        digits = [int(p) for p in parts]
+    except ValueError:
+        digits = [-1]
+    if not digits or any(not 0 <= d < base for d in digits):
+        raise UsageError(f"invalid base-{base} digit string {_clip(text)}")
+    return digits
+
+
 def parse_r(text: str, base: int, radix_input: bool) -> int:
     if radix_input:
-        # digit string, most-significant first; dot-separated for bases > 10
-        parts = text.split(".") if "." in text else list(text)
-        try:
-            digits = [int(p) for p in parts]
-        except ValueError:
-            digits = [-1]
-        if not digits or any(not 0 <= d < base for d in digits):
-            raise UsageError(f"invalid base-{base} digit string {text!r}")
-        v = 0
-        for d in digits:
-            v = v * base + d
-        return v
+        return digits_value(parse_digits(text, base), base)
     try:
         v = int(text)
     except ValueError as exc:
-        raise UsageError(f"cannot parse r {text!r}") from exc
+        raise UsageError(f"cannot parse r {_clip(text)}") from exc
     if v < 0:
         raise UsageError("r must be nonnegative")
     return v
@@ -97,9 +105,7 @@ def cmd_dist(args) -> int:
         "mean_interval": mean_txt,
     }
     if r >= 1:
-        dec = decompose_blocks(expand(r, args.base))
-        header["rho"] = dec.rho
-        header["lambda"] = dec.lam
+        header["rho"], header["lambda"] = rho_lambda(r, args.base)
     if args.format == "json":
         doc = dict(header)
         doc["atoms"] = [
@@ -171,10 +177,7 @@ def _verify_r_values(args) -> list[int]:
             digits = [rnd.randrange(1, args.base)] + [
                 rnd.randrange(args.base) for _ in range(args.digits - 1)
             ]
-            v = 0
-            for d in digits:
-                v = v * args.base + d
-            vals.append(v)
+            vals.append(digits_value(digits, args.base))
         return vals
     if args.range is None:
         raise UsageError("give a range A..B or --random COUNT --digits D")
@@ -329,16 +332,9 @@ def cmd_simulate(args) -> int:
 
 
 def pattern_family(pattern: str, reps: list[int], base: int) -> list[int]:
-    digits = [int(ch) for ch in pattern]
-    if not digits or any(d >= base for d in digits):
-        raise UsageError(f"bad pattern {pattern!r} for base {base}")
-    out = []
-    for m in reps:
-        v = 0
-        for d in digits * m:
-            v = v * base + d
-        out.append(v)
-    return out
+    """The values of pattern's digits repeated m times, for each m in reps."""
+    digits = parse_digits(pattern, base)
+    return [digits_value(digits * m, base) for m in reps]
 
 
 _RATE_FIELDS = [f.name for f in dataclasses.fields(cltdiag.RateRow)]
@@ -356,6 +352,8 @@ def _rate_row_cells(row) -> list[str]:
 
 
 def cmd_clt(args) -> int:
+    if args.out and os.path.splitext(args.out)[1] == ".json":
+        raise UsageError(f"--out {args.out!r} is its own JSON twin; give a CSV path")
     if args.family:
         try:
             pattern, reps_txt = args.family.split("@")
@@ -426,10 +424,10 @@ def cmd_phi(args) -> int:
         raise UsageError("empty --k or --p")
     if min(ks + ps) < 1:
         raise UsageError("--k and --p must be >= 1")
-    dec = decompose_blocks(expand(r, args.base))
-    if dec.lam <= max(ks) + 1:
+    _, lam = rho_lambda(r, args.base)
+    if lam <= max(ks) + 1:
         raise UsageError(
-            f"lambda(r) = {dec.lam} too small for max gap {max(ks)} (need > max k + 1)"
+            f"lambda(r) = {lam} too small for max gap {max(ks)} (need > max k + 1)"
         )
     X = mixing.process_matrix(r, args.base, args.samples, args.seed)
     # every estimate before any output, so an error leaves stdout empty

@@ -44,10 +44,7 @@ class Expansion:
             raise ValueError("non-canonical expansion: most-significant digit is 0")
 
     def value(self) -> int:
-        v = 0
-        for d in reversed(self.digits):
-            v = v * self.base + d
-        return v
+        return digits_value(self.msb_first(), self.base)
 
     def digit_count(self) -> int:
         return len(self.digits)
@@ -60,6 +57,14 @@ class Expansion:
             return "0"
         sep = "" if self.base <= 10 else "."
         return sep.join(str(d) for d in self.msb_first())
+
+
+def digits_value(msb, base: int) -> int:
+    """Integer value of base-b digits given most-significant first."""
+    v = 0
+    for d in msb:
+        v = v * base + d
+    return v
 
 
 def expand(n: int, base: int) -> Expansion:

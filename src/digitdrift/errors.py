@@ -39,3 +39,11 @@ class InvalidEpsilon(DigitDriftError):
 
 class LevelTooSmall(DigitDriftError):
     """Tower level must satisfy base**(level+1) > r."""
+
+
+class Int64Overflow(DigitDriftError, OverflowError):
+    """The vectorized sampler's digit sums would not fit in int64."""
+
+
+class TableTooLarge(DigitDriftError, ValueError):
+    """The oracle's digit-sum table would pass 2**31 entries."""

@@ -194,20 +194,6 @@ def carry_tail_probability_bound(k: int, digit_count: int, base: int) -> Fractio
     return Fraction(1, base ** (k - digit_count))
 
 
-def _geom_power_sum(p: int, M: int, y: Fraction) -> Fraction:
-    """Sum over k >= M of k**p * y**k, exactly, for p in 0..3."""
-    a0 = 1 / (1 - y)
-    a1 = y / (1 - y) ** 2
-    a2 = y * (1 + y) / (1 - y) ** 3
-    a3 = y * (1 + 4 * y + y * y) / (1 - y) ** 4
-    a = [a0, a1, a2, a3]
-    # shift: sum_{k>=M} k^p y^k = y^M * sum_j (j+M)^p y^j
-    total = Fraction(0)
-    for j in range(p + 1):
-        total += math.comb(p, j) * Fraction(M) ** (p - j) * a[j]
-    return y**M * total
-
-
 def tail_abs_moment_bound(dist: DriftDistribution, power: int) -> Fraction:
     """Certified bound on sum over k > K of |d_k|**power * mass_k.
 
@@ -227,19 +213,20 @@ def tail_abs_moment_bound(dist: DriftDistribution, power: int) -> Fraction:
         )
     y = Fraction(1, b)
     M = K + 1
-    s_r = dist.s_r
-    # |d_k| = k*(b-1) - s_r for k > K >= L; expand the power binomially.
-    total = Fraction(0)
-    for j in range(power + 1):
-        coeff = math.comb(power, j) * (b - 1) ** j * (-s_r) ** (power - j)
-        total += coeff * _geom_power_sum(j, M, y)
-    return total * b**L
+    # |d_k| = c + (b-1)*j for k = M + j > K >= L; expand the power
+    # binomially over the closed forms of sum_{j>=0} j**i * y**j, i <= 3.
+    c = (b - 1) * M - dist.s_r
+    z = 1 - y
+    sums = (1 / z, y / z**2, y * (1 + y) / z**3, y * (1 + 4 * y + y * y) / z**4)
+    total = sum(
+        math.comb(power, i) * c ** (power - i) * (b - 1) ** i * sums[i]
+        for i in range(power + 1)
+    )
+    return total * y**M * b**L
 
 
 def mean_interval(dist: DriftDistribution) -> tuple[Fraction, Fraction]:
     """Exact interval certain to contain the mean of the drift law."""
-    if dist.r == 0:
-        return (Fraction(0), Fraction(0))
     center = sum(Fraction(d) * m for d, m in dist.items())
     t1 = tail_abs_moment_bound(dist, 1)
     return (center - t1, center + t1)
@@ -247,8 +234,6 @@ def mean_interval(dist: DriftDistribution) -> tuple[Fraction, Fraction]:
 
 def second_moment_interval(dist: DriftDistribution) -> tuple[Fraction, Fraction]:
     """Exact interval containing the second moment (= variance, zero mean)."""
-    if dist.r == 0:
-        return (Fraction(0), Fraction(0))
     partial = sum(Fraction(d) ** 2 * m for d, m in dist.items())
     t2 = tail_abs_moment_bound(dist, 2)
     return (partial, partial + t2)

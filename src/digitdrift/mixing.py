@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digits import block_prefix_integers, check_base, expand, int_digit_sum
+from .digits import block_prefix_integers, check_base, expand, int_digit_sum, rho_lambda
 from .errors import InsufficientSamples
 from .exactdist import DriftDistribution, distribution
 from .odometer import prefix_digit_sums, sample_digit_matrix, sample_drift
@@ -120,9 +120,8 @@ def moment_check(
 ) -> MomentReport:
     """Empirical absolute moments E|X_i|^order per block, with standard errors."""
     if order == 0:
-        prefixes = block_prefix_integers(expand(r, base))
-        per = tuple((1.0, 0.0) for _ in range(len(prefixes) - 1))
-        return MomentReport(r, base, 0, n_samples, per, 1.0)
+        _, lam = rho_lambda(r, base)
+        return MomentReport(r, base, 0, n_samples, ((1.0, 0.0),) * lam, 1.0)
     if not 1 <= order <= 4:
         raise ValueError("order must be in 0..4")
     X = process_matrix(r, base, n_samples, seed)
@@ -252,8 +251,7 @@ def estimate_phi(
     check_base(base)
     if k < 1 or p < 1:
         raise ValueError("k and p must be >= 1")
-    prefixes = block_prefix_integers(expand(r, base))
-    lam = len(prefixes) - 1
+    _, lam = rho_lambda(r, base)
     bound = phi_bound(k, base)
     if p + k > lam:
         # no blocks left beyond the gap: trivial sigma-algebra

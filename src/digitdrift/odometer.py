@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .digits import check_base, expand, int_digit_sum
-from .errors import PropagationCapExceeded
+from .digits import check_base, digits_value, expand, int_digit_sum
+from .errors import Int64Overflow, PropagationCapExceeded
 
 DEFAULT_PROPAGATION_CAP = 4096
 
@@ -39,10 +39,7 @@ class LazyBadicSample:
 
     def prefix_value(self, m: int) -> int:
         """Integer value of digits 0..m-1."""
-        v = 0
-        for i in range(m - 1, -1, -1):
-            v = v * self.base + self.digit(i)
-        return v
+        return digits_value((self.digit(i) for i in range(m - 1, -1, -1)), self.base)
 
 
 class ShiftedSample:
@@ -94,8 +91,6 @@ def sample_drift(sample, r: int, cap: int = DEFAULT_PROPAGATION_CAP) -> DriftSam
     if r < 0:
         raise ValueError("r must be nonnegative")
     b = sample.base
-    if r == 0:
-        return DriftSample(0, 0, 0)
     L = len(expand(r, b).digits)
     limit = L + cap
     m = L
@@ -148,6 +143,7 @@ def sample_digit_matrix(
     """
     check_base(base)
     L = max(len(expand(r, base).digits), 1)
+    _check_int64(base, L)
     cols = [rng.digit_block(seed, base, n_samples, range(L), first_index).T]
     _, pending = prefix_digit_sums(cols[0], (r,), base)
     j = L
@@ -158,6 +154,13 @@ def sample_digit_matrix(
         pending &= cols[-1][0] == base - 1
         j += 1
     return np.vstack(cols).T
+
+
+def _check_int64(base: int, width: int) -> None:
+    """The sweep holds digit + addend digit + carry (at most 2b - 1) and
+    digit sums of up to width digits ((b-1) * width) in int64."""
+    if 2 * base - 1 >= 2**63 or (base - 1) * width >= 2**63:
+        raise Int64Overflow(f"sampler digit sums overflow int64 at base {base}, width {width}")
 
 
 # elements (addends x samples) per pass of prefix_digit_sums; the pass's
@@ -176,8 +179,7 @@ def prefix_digit_sums(
     until that carry is zero for r.
     """
     m, n = Xt.shape
-    if (base - 1) * m >= 2**63:
-        raise OverflowError("digit sums of this matrix overflow int64")
+    _check_int64(base, m)
     # digit + addend digit + carry is at most 2b - 1; carry counts are
     # moved to the int64 totals before they can overflow this type
     small = np.min_scalar_type(1 - 2 * base)

@@ -14,11 +14,10 @@ from fractions import Fraction
 import numpy as np
 
 from .digits import check_base, expand, int_digit_sum
-from .errors import LevelTooSmall
+from .errors import LevelTooSmall, TableTooLarge
 from .exactdist import (
     DriftDistribution,
     distribution,
-    lattice_point,
     mean_interval,
     second_moment_interval,
     tail_abs_moment_bound,
@@ -35,7 +34,7 @@ def digit_sum_table(limit: int, base: int) -> np.ndarray:
     if limit <= 0:
         return np.zeros(0, dtype=np.uint8)
     if limit > 2**31:
-        raise ValueError("table limit too large")
+        raise TableTooLarge("table limit too large: more than 2**31 entries")
     max_sum = (base - 1) * len(expand(limit - 1, base).digits)
     table = np.zeros(limit, dtype=np.min_scalar_type(max_sum))
     block = 1
@@ -105,7 +104,7 @@ def empirical_density(r: int, base: int, n: int) -> dict[int, Fraction]:
     counts = _carry_counts(r, base, n)
     s_r = int_digit_sum(r, base)
     return {
-        lattice_point(s_r, k, base): Fraction(int(c), n)
+        s_r - k * (base - 1): Fraction(int(c), n)
         for k, c in enumerate(counts)
         if c
     }

@@ -28,8 +28,11 @@ def test_parse_r_forms():
 
 def test_pattern_family():
     assert pattern_family("10", [2, 4], 2) == [10, 170]
-    with pytest.raises(UsageError):
-        pattern_family("19", [2], 2)
+    # the --radix-input digit syntax: dot-separated digits reach past 9
+    assert pattern_family("1.15", [2], 16) == [0x1F1F]
+    for bad in ("19", "", "1.2.", "1-"):
+        with pytest.raises(UsageError):
+            pattern_family(bad, [2], 2)
 
 
 def test_dist_unit_base2(capsys, tmp_cache):
@@ -336,6 +339,15 @@ def test_phi_lambda_too_small(capsys):
         ["simulate", "0", "--cap", "-1", "--cache", "{cache}"],
         ["simulate", "1048575", "--base", "2", "--samples", "4096", "--cap", "0",
          "--cache", "{cache}"],
+        ["clt", "--family", "10@2", "--base", "2", "--out", "{out_json}",
+         "--cache", "{cache}"],
+        ["clt", "--family", "1a@2", "--base", "16", "--cache", "{cache}"],
+        ["simulate", str(2**62 + 1), "--base", str(2**62 + 1), "--samples", "10",
+         "--cache", "{cache}"],
+        ["simulate", "5", "--base", str(2**64), "--samples", "10", "--cache", "{cache}"],
+        ["simulate", str(2**124 + 5), "--base", str(2**62), "--samples", "10",
+         "--cache", "{cache}"],
+        ["verify", "1..3", "--base", "2", "--checks", "enclosure", "--level", "300"],
     ],
     ids=[
         "negative-tail-eps",
@@ -350,19 +362,42 @@ def test_phi_lambda_too_small(capsys):
         "clt-unwritable-out",
         "negative-cap",
         "cap-exceeded",
+        "clt-out-is-its-json-twin",
+        "clt-pattern-bad-digit",
+        "sampler-base-past-int64",
+        "sampler-base-past-uint64",
+        "sampler-digit-sums-past-int64",
+        "oracle-table-too-large",
     ],
 )
 def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
     not_int = tmp_path / "members.txt"
     not_int.write_text("5\nseven\n")
+    out_json = tmp_path / "rates.json"
     argv = [
-        a.format(missing=tmp_path / "absent.txt", not_int=not_int, cache=tmp_path / "cache")
+        a.format(
+            missing=tmp_path / "absent.txt",
+            not_int=not_int,
+            cache=tmp_path / "cache",
+            out_json=out_json,
+        )
         for a in argv
     ]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert not out_json.exists()
+
+
+def test_bad_r_error_is_one_short_line(capsys):
+    text = "12x" + "1" * 5000
+    for r_args in ([text], [text, "--radix-input"]):
+        code, out, err = run_cli(capsys, "dist", *r_args, "--atoms", "3")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and len(err) < 100
+        assert "12x111" in err and "..." in err
 
 
 @pytest.mark.parametrize("radix", [False, True], ids=["decimal", "radix-input"])

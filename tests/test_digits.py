@@ -10,6 +10,7 @@ from digitdrift.digits import (
     carry_count,
     decompose_blocks,
     digit_sum,
+    digits_value,
     drift,
     expand,
     int_digit_sum,
@@ -32,6 +33,14 @@ def test_expand_zero_is_empty():
     assert expand(0, 10).digits == ()
     assert expand(0, 10).value() == 0
     assert str(expand(0, 10)) == "0"
+
+
+@pytest.mark.parametrize("b", BASES + [200])
+def test_digits_value_inverts_expand(b):
+    assert digits_value([], b) == 0
+    for n in (1, b - 1, b, 118, 5900991, b**9 + 3):
+        assert digits_value(expand(n, b).msb_first(), b) == n
+    assert digits_value([0, 0, 1], b) == 1  # leading zeros add nothing
 
 
 def test_expand_examples():

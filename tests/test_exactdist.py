@@ -310,6 +310,22 @@ def test_second_moment_interval_brackets_variance():
         assert lo <= variance_exact(r, b) <= hi
 
 
+@pytest.mark.parametrize("r,b,K", [(0, 2, 0), (1, 2, 3), (118, 2, 9), (7, 10, 1), (405, 200, 4)])
+def test_tail_abs_moment_bound_is_the_series_limit(r, b, K):
+    # the closed form is the limit of sum_{k>K} |d_k|**p * b**(L-k), from above
+    d = distribution(r, b, atoms=K)
+    L = len(expand(r, b).digits)
+    for p in range(4):
+        bound = tail_abs_moment_bound(d, p)
+        if r == 0:
+            assert bound == 0
+            continue
+        partial = sum(
+            Fraction(abs(d.position(k)) ** p * b**L, b**k) for k in range(K + 1, K + 200)
+        )
+        assert 0 < bound - partial < Fraction(1, 10**30)
+
+
 def test_tail_bound_requires_enough_atoms():
     d = distribution(118, 2, atoms=3)  # digit count is 7
     with pytest.raises(TailBoundUnavailable):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from digitdrift.errors import PropagationCapExceeded
+from digitdrift.errors import DigitDriftError, Int64Overflow, PropagationCapExceeded
 from digitdrift.odometer import (
     DriftSample,
     LazyBadicSample,
@@ -206,6 +206,13 @@ def test_prefix_digit_sums_refuses_int64_overflow():
     Xt = np.full((3, 4), base - 1, dtype=np.uint64)
     with pytest.raises(OverflowError):
         prefix_digit_sums(Xt, (0,), base)
+
+
+@pytest.mark.parametrize("r,base", [(5, 2**62 + 1), (5, 2**64), (2**124 + 5, 2**62)])
+def test_sample_digit_matrix_refuses_bases_past_int64(r, base):
+    with pytest.raises(Int64Overflow) as info:
+        sample_digit_matrix(r, base, 10, 0)
+    assert isinstance(info.value, DigitDriftError)
 
 
 def test_digit_marginals_chi_square():

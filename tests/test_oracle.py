@@ -5,7 +5,7 @@ import pytest
 
 from digitdrift import oracle
 from digitdrift.digits import int_digit_sum
-from digitdrift.errors import LevelTooSmall
+from digitdrift.errors import LevelTooSmall, TableTooLarge
 from digitdrift.exactdist import atom_mass, distribution, variance_exact
 from digitdrift.oracle import (
     CesaroResult,
@@ -39,6 +39,12 @@ def test_digit_sum_table_wide_bases():
         assert table.tolist() == [int_digit_sum(n, base) for n in range(limit)]
     assert digit_sum_table(1 << 16, 2).dtype == np.uint8
     assert digit_sum_table(10**5, 10).dtype == np.uint8
+
+
+def test_digit_sum_table_refuses_past_2_31():
+    with pytest.raises(TableTooLarge) as info:
+        digit_sum_table(2**31 + 1, 2)
+    assert isinstance(info.value, ValueError)
 
 
 def test_empirical_density_zero_r():

@@ -287,10 +287,13 @@ def cmd_simulate(args) -> int:
         raise UsageError("--samples must be >= 1")
     if args.cap < 0:
         raise UsageError("--cap must be >= 0")
+    if args.process and r < 1:
+        raise UsageError("--process needs r >= 1")
     n = args.samples
-    dist = exactdist.distribution(r, args.base, cache_dir=args.cache)
-    # one digit matrix serves the drift draws and the per-block process
+    # one digit matrix serves the drift draws and the per-block process; it
+    # is drawn first because it validates the base before anything is cached
     digits = odometer.sample_digit_matrix(r, args.base, n, args.seed, cap=args.cap)
+    dist = exactdist.distribution(r, args.base, cache_dir=args.cache)
     delta, carries = odometer.drift_from_digits(digits, r, args.base)
     s_r = dist.s_r
     ident_ok = bool(np.all(delta == s_r - carries * (args.base - 1)))
@@ -313,8 +316,6 @@ def cmd_simulate(args) -> int:
     print(f"max |z| = {worst:.2f}")
     code = EXIT_OK if ident_ok else EXIT_VIOLATION
     if args.process:
-        if r < 1:
-            raise UsageError("--process needs r >= 1")
         X = mixing.process_from_digits(digits, r, args.base)
         totals = X.sum(axis=1)
         same = bool(np.array_equal(np.sort(totals), np.sort(delta)))

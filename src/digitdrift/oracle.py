@@ -1,13 +1,13 @@
 """Brute-force ground truth by direct counting.
 
-Counts drift values over dense integer ranges (digit sums come from a
-shared table built once per range) and converts level counts into exact
-interval enclosures of the atom masses. This is the anti-bug oracle for
-the exact recursion: the two sides share no code.
+Counts drift values over dense integer ranges, splitting each integer
+into a high and a low half so that two digit-sum tables of about sqrt(N)
+entries cover a range of N when r is below sqrt(N), and converts level
+counts into exact interval enclosures of the atom masses. This is the
+anti-bug oracle for the exact recursion: the two sides share no code.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,52 +39,81 @@ def digit_sum_table(limit: int, base: int) -> np.ndarray:
     table = np.zeros(limit, dtype=np.min_scalar_type(max_sum))
     block = 1
     while block < limit:
-        for d in range(1, base):
-            lo = d * block
-            if lo >= limit:
-                break
-            hi = min(lo + block, limit)
-            np.add(table[: hi - lo], d, out=table[lo:hi])
+        # entry d*block + j is table[j] + d for each digit d at this power
+        top = min(base * block, limit)
+        full, rest = divmod(top, block)
+        tiles = table[: full * block].reshape(full, block)
+        np.add(tiles[0], np.arange(1, full, dtype=table.dtype)[:, None], out=tiles[1:])
+        if rest:
+            np.add(table[:rest], full, out=table[full * block : top])
         block *= base
     return table
 
 
-# integers counted per pass; the pass's temporaries (bincount widens to
-# intp) stay in cache instead of costing 8 bytes per counted integer
-_CHUNK = 1 << 15
+def _max_digit_sum_below(limit: int, base: int) -> int:
+    """Largest digit sum of 0..limit-1 (limit >= 1).
+
+    A number below limit-1 agrees with it above some digit i, has a smaller
+    digit at i, and at best b-1 in every digit under i.
+    """
+    digits = expand(limit - 1, base).digits
+    best, above = sum(digits), 0
+    for i in reversed(range(len(digits))):
+        if digits[i]:
+            best = max(best, above + digits[i] - 1 + (base - 1) * i)
+        above += digits[i]
+    return best
 
 
-@functools.lru_cache(maxsize=1)
-def _table(limit: int, base: int) -> tuple[np.ndarray, int]:
-    """The most recent digit-sum table and its maximum; sweeps reuse it across r."""
-    table = digit_sum_table(limit, base)
-    return table, int(table.max(initial=0))
+def _carries(table: np.ndarray, r: int, base: int) -> np.ndarray:
+    """Carry count of i + r for each i < len(table) - r, from the digit sums
+    of 0..len(table)-1: s(i) + s(r) - s(i + r) = (b-1) * carries.
+
+    The signed type one size up from the table's holds every difference,
+    and s(r) and b-1, which are at most the digit sum that type was sized for.
+    """
+    carries = table[:-r].astype(np.promote_types(table.dtype, np.int8))
+    carries += int_digit_sum(r, base)
+    carries -= table[r:]
+    if (carries % (base - 1)).any() or carries.min(initial=0) < 0:
+        raise RuntimeError("digit-sum table is inconsistent: drift off the lattice")
+    carries //= base - 1
+    return carries
 
 
 def _carry_counts(r: int, base: int, m: int) -> np.ndarray:
-    """counts[c] = |{n < m : adding r to n creates c carries}|."""
+    """counts[c] = |{n < m : adding r to n creates c carries}|.
+
+    Writes n = hi*B + lo with lo < B = b^h and B > r. Adding r to n carries
+    out of the low h digits exactly when lo >= B - r, and that carry runs on
+    through the trailing b-1 digits of hi, as many as the carries of hi + 1.
+    So the count needs the carries of lo + r for lo < B and of hi + 1 for
+    hi <= m // B: two digit-sum tables of min(B, m) + r and m // B + 2
+    entries, about sqrt(m) each when r is below sqrt(m).
+    """
     if not r or not m:
         return np.array([m], dtype=np.int64)  # no carries, or nothing counted
-    s_r = int_digit_sum(r, base)
-    table, table_max = _table(m + r, base)
-    kmax = (table_max + s_r) // (base - 1) + 2
-    # s(n) + s(r) - s(n + r) = c*(b-1) lies in [0, table_max + s(r)], so an
-    # unsigned type of that size holds every intermediate; bin the
-    # difference and read the carry count c off every (b-1)-th bin.
-    top = table_max + s_r
-    dtype = np.min_scalar_type(top)
-    binned = np.zeros(top + 1, dtype=np.int64)
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        diff = table[lo:hi].astype(dtype)
-        diff += s_r
-        diff -= table[r + lo : r + hi]
-        binned += np.bincount(diff, minlength=top + 1)
-    hits = binned[:: base - 1]
-    if int(hits.sum()) != m:
-        raise RuntimeError("digit-sum table is inconsistent: drift off the lattice")
+    kmax = (_max_digit_sum_below(m + r, base) + int_digit_sum(r, base)) // (base - 1) + 2
+    h = max(-(-expand(m, base).digit_count() // 2), expand(r, base).digit_count())
+    B = base**h
+    q, p = divmod(m, B)
+    low = _carries(digit_sum_table(min(B, m) + r, base), r, base)
+    high = _carries(digit_sum_table(q + 2, base), 1, base)
+    cut = B - r  # lows from cut up carry out of the low h digits
     counts = np.zeros(kmax, dtype=np.int64)
-    counts[: len(hits)] = hits
+    if q:  # the full blocks hi < q, each over every lo < B
+        stay = q * np.bincount(low[:cut])
+        out = np.convolve(np.bincount(low[cut:]), np.bincount(high[:q]))
+        counts[: len(stay)] += stay
+        counts[: len(out)] += out
+    # the partial block hi = q over lo < p
+    stay = np.bincount(low[: min(p, cut)])
+    out = np.bincount(low[cut:p])
+    t = int(high[q])
+    counts[: len(stay)] += stay
+    counts[t : t + len(out)] += out
+    if int(counts.sum()) != m:
+        raise RuntimeError("split counts do not add up to the counted range")
     return counts
 
 

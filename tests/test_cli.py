@@ -337,6 +337,7 @@ def test_phi_lambda_too_small(capsys):
         ["clt", "--family", "10@2,4", "--base", "2", "--out", "{missing}/x.csv",
          "--cache", "{cache}"],
         ["simulate", "0", "--cap", "-1", "--cache", "{cache}"],
+        ["simulate", "0", "--process", "--samples", "10", "--cache", "{cache}"],
         ["simulate", "1048575", "--base", "2", "--samples", "4096", "--cap", "0",
          "--cache", "{cache}"],
         ["clt", "--family", "10@2", "--base", "2", "--out", "{out_json}",
@@ -361,6 +362,7 @@ def test_phi_lambda_too_small(capsys):
         "phi-insufficient-samples",
         "clt-unwritable-out",
         "negative-cap",
+        "process-needs-positive-r",
         "cap-exceeded",
         "clt-out-is-its-json-twin",
         "clt-pattern-bad-digit",
@@ -388,6 +390,16 @@ def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert not out_json.exists()
+
+
+def test_simulate_refuses_base_before_caching(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    code, out, err = run_cli(
+        capsys, "simulate", "5", "--base", str(2**62 + 1), "--cache", str(cache)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert not cache.exists() or not any(cache.iterdir())
 
 
 def test_bad_r_error_is_one_short_line(capsys):

@@ -1,10 +1,12 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from digitdrift import oracle
-from digitdrift.digits import int_digit_sum
+from digitdrift.digits import expand, int_digit_sum
 from digitdrift.errors import LevelTooSmall, TableTooLarge
 from digitdrift.exactdist import atom_mass, distribution, variance_exact
 from digitdrift.oracle import (
@@ -80,7 +82,7 @@ def test_empirical_density_digit_sums_past_int16():
 
 
 def test_empirical_density_across_count_chunks():
-    # the count runs in fixed-size passes; n spans several with a ragged end
+    # n = 96 * 3**6 + 17: many full blocks of the split and a ragged last one
     r, b, n = 37, 3, 70001
     expected = {}
     for x in range(n):
@@ -142,19 +144,75 @@ def test_enclosures_cover_atoms_small_sweep():
             assert check_enclosures(dist, level) == []
 
 
-def test_enclosure_sweep_builds_one_table(monkeypatch):
-    tower_counts(1, 3, 2)  # leave some other table in the one-table cache
-    builds = []
+def test_enclosure_sweep_tables_stay_small(monkeypatch):
+    # level 24 counts 2**25 integers per r from tables of about 2**13 entries
+    limits = []
     real = oracle.digit_sum_table
 
-    def counting(limit, base):
-        builds.append((limit, base))
+    def recording(limit, base):
+        limits.append(limit)
         return real(limit, base)
 
-    monkeypatch.setattr(oracle, "digit_sum_table", counting)
+    monkeypatch.setattr(oracle, "digit_sum_table", recording)
     for r in (1, 5, 17, 60, 118):
-        assert check_enclosures(distribution(r, 2, atoms=12), 12) == []
-    assert builds == [(2**13, 2)]
+        assert check_enclosures(distribution(r, 2, atoms=12), 24) == []
+    assert limits and max(limits) <= 2**14
+
+
+def reference_carries(r, base, m):
+    """Carry counts of n + r over n < m, one integer at a time, and the
+    largest digit sum below m + r."""
+    s_r = int_digit_sum(r, base)
+    counts = Counter()
+    for n in range(m):
+        k, rem = divmod(int_digit_sum(n, base) + s_r - int_digit_sum(n + r, base), base - 1)
+        assert rem == 0 and k >= 0
+        counts[k] += 1
+    return counts, max((int_digit_sum(x, base) for x in range(m + r)), default=0)
+
+
+@pytest.mark.parametrize("base", (2, 3, 7, 10, 16))
+def test_tower_counts_match_one_by_one_count(base):
+    rnd = random.Random(base)
+    level = 0
+    while base ** (level + 1) <= 2**14:
+        total = base ** (level + 1)
+        for r in {0, 1, total - 1, rnd.randrange(total), rnd.randrange(total)}:
+            counts, m, _ = tower_counts(r, base, level)
+            expected, max_sum = reference_carries(r, base, m)
+            assert counts.dtype == np.int64
+            assert {k: int(c) for k, c in enumerate(counts) if c} == expected
+            if r:
+                s_r = int_digit_sum(r, base)
+                assert len(counts) == (max_sum + s_r) // (base - 1) + 2
+        level += 1
+
+
+@pytest.mark.parametrize(
+    "r, base, n",
+    [(37, 3, 70001), (118, 2, 5000), (44, 10, 12345), (250, 16, 9000), (5000, 10, 3000)],
+)
+def test_empirical_density_at_split_edges(r, base, n):
+    # B = b**h is the oracle's split point for n; the last case has an r
+    # with more digits than half of n, so n < B and the split is one block
+    h = max(-(-expand(n, base).digit_count() // 2), expand(r, base).digit_count())
+    B = base**h
+    s_r = int_digit_sum(r, base)
+    for x in {B - 1, B, B + 1, n // B * B, n} - {0}:
+        expected, _ = reference_carries(r, base, x)
+        assert empirical_density(r, base, x) == {
+            s_r - k * (base - 1): Fraction(c, x) for k, c in expected.items()
+        }
+
+
+def test_tower_counts_reach_level_40():
+    # adding 1 to n carries once per trailing 1 bit: 2**(40-k) of the
+    # 2**41 - 1 counted n have k of them
+    counts, m, total = tower_counts(1, 2, 40)
+    assert (m, total) == (2**41 - 1, 2**41)
+    assert counts[:41].tolist() == [2 ** (40 - k) for k in range(41)]
+    assert not counts[41:].any()
+    assert counts.sum() == m
 
 
 def test_enclosures_cover_atoms_base_200():

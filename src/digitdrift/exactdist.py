@@ -3,7 +3,8 @@ variance.
 
 Everything here is exact: atom masses come out of an integer dynamic
 program over the digit chain of r, and variance out of the matching
-two-value recursion. Floats never enter.
+two-value recursion. Floats never enter, except for one derived cache:
+`DriftDistribution.normalized_support`, the float view `cltdiag` reads.
 """
 from __future__ import annotations
 
@@ -13,8 +14,11 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from hashlib import sha256
 from math import isqrt
+
+import numpy as np
 
 from .digits import check_base, expand, int_digit_sum, rho_lambda
 from .errors import (
@@ -78,6 +82,25 @@ class DriftDistribution:
 
     def digit_count_r(self) -> int:
         return len(expand(self.r, self.base).digits)
+
+    @cached_property
+    def normalized_support(self) -> tuple[np.ndarray, np.ndarray]:
+        """(positions d/sigma, masses) as read-only float arrays, positions
+        ascending; the zero-variance case (r = 0) is a unit mass at 0.
+
+        A derived cache, built on first use and only read by `cltdiag`: the
+        exact fields above stay the law, and the cache takes no part in
+        ==, hash or repr.
+        """
+        if self.r == 0:
+            pos, mass = np.array([0.0]), np.array([1.0])
+        else:
+            sigma = math.sqrt(variance_exact(self.r, self.base))
+            pos = np.array([d / sigma for d, _ in self.items()], dtype=np.float64)[::-1]
+            mass = np.array([float(m) for _, m in self.items()], dtype=np.float64)[::-1]
+        pos.flags.writeable = False
+        mass.flags.writeable = False
+        return pos, mass
 
 
 def unit_atom_mass(k: int, base: int) -> Fraction:

@@ -1,8 +1,8 @@
 """End-to-end acceptance sweeps.
 
-Each test prints one PASS/FAIL line. The heavy counting sweeps take a
-few minutes combined; run with `pytest tests/test_acceptance.py -v -s`
-to watch progress.
+Each test prints one PASS/FAIL line that ends with the test's wall time
+(module fixtures shared by several tests are not in it); run with
+`pytest tests/test_acceptance.py -v -s` to watch progress.
 """
 import math
 import random
@@ -38,7 +38,8 @@ def report(criterion: str, ok: bool, detail: str = ""):
     import conftest
 
     tag = "PASS" if ok else "FAIL"
-    line = f"criterion {criterion}: {tag}{' - ' + detail if detail else ''}"
+    wall = time.perf_counter() - conftest.TEST_STARTED
+    line = f"criterion {criterion}: {tag}{' - ' + detail if detail else ''} ({wall:.2f} s)"
     print(line)
     conftest.ACCEPTANCE_LINES.append(line)
     return ok

@@ -1,4 +1,7 @@
+import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from digitdrift.cltdiag import (
+    CHAIN_GRID_POINTS,
     MOLLIFIER_D3_SUP,
+    _gaussian_mollifier_expectations,
     gaussian_mollifier_expectation,
     ks_distance,
     local_limit_gap,
@@ -24,7 +29,15 @@ from digitdrift.cltdiag import (
     third_abs_moment_normalized,
 )
 from digitdrift.errors import InvalidBase, InvalidEpsilon, TailTooHeavy
-from digitdrift.exactdist import distribution, tail_abs_moment_bound, variance_exact
+from digitdrift.exactdist import (
+    cache_key,
+    distribution,
+    save_cached_distribution,
+    tail_abs_moment_bound,
+    variance_exact,
+)
+
+PINNED = Path(__file__).parent / "data" / "cltdiag_pinned.json"
 
 
 def pattern_10(m):
@@ -278,3 +291,83 @@ def test_third_abs_moment_tracks_normal_limit():
     vals = [third_abs_moment_normalized(distribution(pattern_10(m), 2)) for m in (16, 128)]
     assert abs(vals[1] - target) < abs(vals[0] - target)
     assert abs(vals[1] - target) < 0.01
+
+
+def test_batched_gaussian_side_equals_scalar_twin():
+    # the shift points mollifier_chain_check uses, plus 0 and far tails
+    for r, b in ((118, 2), (pattern_10(16), 2), (5900991, 10)):
+        pos, _ = normalized_support(distribution(r, b))
+        for eps in (1e-6, 0.05, 0.5, 5.0):
+            span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, CHAIN_GRID_POINTS)
+            ts = np.concatenate([span, pos, pos - eps, pos + eps, [0.0, -40.0, 40.0]])
+            got = _gaussian_mollifier_expectations(ts, eps)
+            want = [gaussian_mollifier_expectation(t, eps) for t in ts]
+            assert [float(v) for v in got] == want, (r, b, eps)
+
+
+def test_diagnostics_match_pinned_float_hex():
+    # float.hex values recorded before the chain check was batched
+    for case in json.loads(PINNED.read_text()):
+        r, b = case["r"], case["base"]
+        d = distribution(r, b)
+        assert [v.hex() for v in ks_distance(d)] == case["ks_distance"]
+        for h, want in case["smooth_gap"].items():
+            assert smooth_gap(d, h).hex() == want, (r, h)
+        for t, eps, want in case["mollifier_gap"]:
+            assert smooth_gap(d, ("mollifier", t, eps)).hex() == want, (r, t, eps)
+        for eps, *want in case["chain"]:
+            chk = mollifier_chain_check(d, eps)
+            assert [chk.ks_hi.hex(), chk.smooth_sup.hex(), chk.slack.hex()] == want, (r, eps)
+        for point, want in case.get("local_limit_gap", []):
+            assert local_limit_gap(r, point, dist=d).hex() == want, (r, point)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
+def test_non_finite_or_nonpositive_eps_is_rejected(eps):
+    d = distribution(118, 2)
+    with pytest.raises(InvalidEpsilon):
+        gaussian_mollifier_expectation(0.5, eps)
+    with pytest.raises(InvalidEpsilon):
+        mollifier(0.5, eps, 0.0)
+    with pytest.raises(InvalidEpsilon):
+        mollifier_d3_norm(eps)
+    with pytest.raises(InvalidEpsilon):
+        smooth_gap(d, ("mollifier", 0.5, eps))
+    with pytest.raises(InvalidEpsilon):
+        mollifier_chain_check(d, eps)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_shift_is_rejected(t):
+    with pytest.raises(ValueError):
+        gaussian_mollifier_expectation(t, 0.1)
+    with pytest.raises(ValueError):
+        smooth_gap(distribution(118, 2), ("mollifier", t, 0.1))
+
+
+def test_normalized_support_is_built_once_and_read_only():
+    for r in (0, 118):
+        d = distribution(r, 2)
+        pos, mass = normalized_support(d)
+        again = normalized_support(d)
+        assert again[0] is pos and again[1] is mass
+        for arr in (pos, mass):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
+def test_normalized_support_cache_leaves_law_identity_alone(tmp_cache, tmp_path):
+    d1 = distribution(118, 2, cache_dir=tmp_cache)  # miss: saved
+    path = os.path.join(tmp_cache, cache_key(2, 118, d1.tail_index - 1))
+    saved = Path(path).read_bytes()
+    d2 = distribution(118, 2, cache_dir=tmp_cache)  # hit
+    text = repr(d2)
+    normalized_support(d1)
+    assert d1 == d2 and d2 == d1
+    assert hash(d1) == hash(d2)
+    assert repr(d2) == text and repr(d1) == text
+    # the loaded law, support built, saves back to the same bytes
+    normalized_support(d2)
+    den = 2 ** (d2.tail_index + d2.digit_count_r())  # b**(K+1+L)
+    resaved = save_cached_distribution(2, 118, [int(m * den) for m in d2.atoms], den, str(tmp_path))
+    assert Path(resaved).read_bytes() == saved

@@ -433,7 +433,7 @@ def cmd_phi(args) -> int:
     X = mixing.process_matrix(r, args.base, args.samples, args.seed)
     # every estimate before any output, so an error leaves stdout empty
     ests = [
-        mixing.estimate_phi(r, args.base, k, p, args.samples, seed=args.seed, values=X)
+        mixing.estimate_phi(r, args.base, k, p, X)
         for k in ks
         for p in ps
     ]

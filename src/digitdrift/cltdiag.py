@@ -178,7 +178,8 @@ def smooth_gap(dist: DriftDistribution, h) -> float:
 
 
 def third_abs_moment_normalized(dist: DriftDistribution) -> float:
-    """E|Z|^3 for the normalized law, tail-bounded (used for budget rows)."""
+    """E|Z|^3 of the normalized law, the third-moment term of the paper's
+    bounds, with the certified tail bound added; checked by tests."""
     pos, mass = normalized_support(dist)
     partial = float(np.sum(mass * np.abs(pos) ** 3))
     if dist.r == 0:

@@ -38,7 +38,7 @@ class InvalidEpsilon(DigitDriftError):
 
 
 class LevelTooSmall(DigitDriftError):
-    """Tower level must satisfy base**(level+1) > r."""
+    """Tower level must be >= 0 and satisfy base**(level+1) > r."""
 
 
 class Int64Overflow(DigitDriftError, OverflowError):

@@ -62,10 +62,6 @@ class DriftDistribution:
         if any(m < 0 for m in self.atoms) or self.tail_mass < 0:
             raise AssertionError("negative mass: distribution recursion is broken")
 
-    @property
-    def tail_index(self) -> int:
-        return len(self.atoms)
-
     def position(self, k: int) -> int:
         return lattice_point(self.s_r, k, self.base)
 
@@ -79,9 +75,6 @@ class DriftDistribution:
         if rem != 0 or q < 0 or q >= len(self.atoms):
             return Fraction(0)
         return self.atoms[q]
-
-    def digit_count_r(self) -> int:
-        return len(expand(self.r, self.base).digits)
 
     @cached_property
     def normalized_support(self) -> tuple[np.ndarray, np.ndarray]:
@@ -160,14 +153,15 @@ def atom_mass(r: int, base: int, d: int) -> Fraction:
 
 
 def default_atom_cutoff(r: int, base: int, tail_eps: Fraction) -> int:
-    """K = digit count of r plus enough lattice steps for tail <= tail_eps."""
-    L = len(expand(r, base).digits)
-    extra = 0
-    bound = Fraction(1, base)  # tail after K = L + j is <= b**-(j+1)
-    while bound > tail_eps:
-        bound /= base
-        extra += 1
-    return L + extra
+    """The smallest K >= digit count of r whose tail, P(carry count > K),
+    is certainly at most tail_eps."""
+    if tail_eps <= 0:
+        raise ValueError("tail_eps must be positive")
+    L = expand(r, base).digit_count()
+    K = L
+    while carry_tail_probability_bound(K + 1, L, base) > tail_eps:
+        K += 1
+    return K
 
 
 def distribution(
@@ -228,7 +222,7 @@ def tail_abs_moment_bound(dist: DriftDistribution, power: int) -> Fraction:
     if dist.r == 0:
         return Fraction(0)
     b = dist.base
-    L = dist.digit_count_r()
+    L = expand(dist.r, b).digit_count()
     K = len(dist.atoms) - 1
     if K < L:
         raise TailBoundUnavailable(
@@ -245,7 +239,7 @@ def tail_abs_moment_bound(dist: DriftDistribution, power: int) -> Fraction:
         math.comb(power, i) * c ** (power - i) * (b - 1) ** i * sums[i]
         for i in range(power + 1)
     )
-    return total * y**M * b**L
+    return total * carry_tail_probability_bound(M, L, b)
 
 
 def mean_interval(dist: DriftDistribution) -> tuple[Fraction, Fraction]:
@@ -325,34 +319,33 @@ def variance_single_block(kind: str, param: int, base: int) -> Fraction:
     raise NotSingleBlock(f"unknown block kind {kind!r}")
 
 
-def variance_trailing_max_run(rhat: int, m: int, base: int) -> Fraction:
-    """Variance of the drift law of b**m * rhat + b**m - 1 (a run of m
-    top digits on the right of rhat)."""
+def _variance_trailing(rhat: int, m: int, base: int, unit: bool) -> Fraction:
+    """Variance of the drift law of b**m * rhat + t, t = 1 (unit) or
+    b**m - 1: Var(rhat) and Var(rhat + 1) weighted by the chances that x + t
+    does not and does carry out of the low m digits, plus b - b**-(m-1)."""
     check_base(base)
     if m < 1:
         raise ValueError("m must be >= 1")
     bm = Fraction(1, base**m)
+    w = 1 - bm if unit else bm
     return (
-        bm * variance_exact(rhat, base)
-        + (1 - bm) * variance_exact(rhat + 1, base)
+        w * variance_exact(rhat, base)
+        + (1 - w) * variance_exact(rhat + 1, base)
         + base
         - Fraction(1, base ** (m - 1))
     )
+
+
+def variance_trailing_max_run(rhat: int, m: int, base: int) -> Fraction:
+    """Variance of the drift law of b**m * rhat + b**m - 1 (a run of m
+    top digits on the right of rhat)."""
+    return _variance_trailing(rhat, m, base, unit=False)
 
 
 def variance_trailing_unit(rhat: int, m: int, base: int) -> Fraction:
     """Variance of the drift law of b**m * rhat + 1 (units digit 1, then
     m-1 zeros, then rhat)."""
-    check_base(base)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    bm = Fraction(1, base**m)
-    return (
-        (1 - bm) * variance_exact(rhat, base)
-        + bm * variance_exact(rhat + 1, base)
-        + base
-        - Fraction(1, base ** (m - 1))
-    )
+    return _variance_trailing(rhat, m, base, unit=True)
 
 
 @dataclass(frozen=True)

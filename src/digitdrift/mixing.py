@@ -166,9 +166,9 @@ def smooth_gap_budget(
     h3_norm: float,
     phi_half_bar: float,
 ) -> float:
-    """Display-only mixing budget for a smooth gap: ||h'''|| (5/2 + 28 Phi) S3
-    + 120 ||h'''|| Phi sqrt(S2) sqrt(S4), with S_j the summed normalized
-    absolute block moments."""
+    """The paper's mixing bound on a smooth gap, checked by tests:
+    ||h'''|| (5/2 + 28 Phi) S3 + 120 ||h'''|| Phi sqrt(S2) sqrt(S4), with S_j
+    the summed normalized absolute block moments."""
     return h3_norm * (2.5 + 28.0 * phi_half_bar) * third_moment_sum + (
         120.0 * h3_norm * phi_half_bar * math.sqrt(second_sum) * math.sqrt(fourth_sum)
     )
@@ -232,35 +232,27 @@ def _side_events(X: np.ndarray, cols: list[int], laws) -> np.ndarray:
     return np.column_stack(preds)
 
 
-def estimate_phi(
-    r: int,
-    base: int,
-    k: int,
-    p: int,
-    n_samples: int,
-    seed: int = 0,
-    values: np.ndarray | None = None,
-) -> PhiEstimate:
+def estimate_phi(r: int, base: int, k: int, p: int, X: np.ndarray) -> PhiEstimate:
     """Empirical lower-bound estimate of the mixing coefficient at gap k.
 
-    Maximizes |P_A(B) - P(B)| over the restricted event family, with A over
-    the first p blocks and B over blocks at index >= p + k. Conditioning
-    events with fewer than MIN_EVENT_HITS hits are dropped. A precomputed
-    process_matrix for the same (r, base, n, seed) can be passed as values.
+    X is a process_matrix of (r, base), one sample per row. Maximizes
+    |P_A(B) - P(B)| over the restricted event family, with A over the first
+    p blocks and B over blocks at index >= p + k. Conditioning events with
+    fewer than MIN_EVENT_HITS hits are dropped.
     """
     check_base(base)
     if k < 1 or p < 1:
         raise ValueError("k and p must be >= 1")
     _, lam = rho_lambda(r, base)
+    if X.ndim != 2 or X.shape[1] != lam:
+        raise ValueError(f"X has shape {X.shape}, not (n, lambda(r) = {lam})")
+    n_samples = X.shape[0]
     bound = phi_bound(k, base)
     if p + k > lam:
         # no blocks left beyond the gap: trivial sigma-algebra
         return PhiEstimate(
             r, base, k, p, 0.0, 0.0, bound, n_samples, "default", 0, 0
         )
-    X = process_matrix(r, base, n_samples, seed) if values is None else values
-    if X.shape != (n_samples, lam):
-        raise ValueError(f"values has shape {X.shape}, not ({n_samples}, {lam})")
     laws = block_laws(r, base)
     a_cols = list(range(min(p, lam)))
     b_cols = list(range(p + k - 1, lam))

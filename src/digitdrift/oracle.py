@@ -117,10 +117,13 @@ def _carry_counts(r: int, base: int, m: int) -> np.ndarray:
     return counts
 
 
-def _count_at(counts: np.ndarray, r: int, base: int, d: int) -> int:
-    """The count at drift d; 0 when d is off the lattice of r or past the counts."""
+def _enclosure_numerators(counts: np.ndarray, r: int, base: int, d: int) -> tuple[int, int]:
+    """(c, c + r) with c the count at drift d, 0 when d is off the lattice
+    of r or past the counts: over the tower total they enclose the atom mass
+    at d, and the r uncounted top levels account for the width."""
     q, rem = divmod(int_digit_sum(r, base) - d, base - 1)
-    return int(counts[q]) if rem == 0 and 0 <= q < len(counts) else 0
+    c = int(counts[q]) if rem == 0 and 0 <= q < len(counts) else 0
+    return c, c + r
 
 
 def empirical_density(r: int, base: int, n: int) -> dict[int, Fraction]:
@@ -149,6 +152,8 @@ def tower_counts(r: int, base: int, level: int) -> tuple[np.ndarray, int, int]:
     check_base(base)
     if r < 0:
         raise ValueError("r must be nonnegative")
+    if level < 0:
+        raise LevelTooSmall(f"tower level must be >= 0, got {level}")
     total = base ** (level + 1)
     if total <= r:
         raise LevelTooSmall(f"base**(level+1) = {total} must exceed r = {r}")
@@ -160,10 +165,10 @@ def tower_enclosure(
     r: int, base: int, level: int, d: int
 ) -> tuple[Fraction, Fraction]:
     """Exact interval [c/b^(l+1), (c+r)/b^(l+1)] guaranteed to contain the
-    atom mass at d; the r uncounted top levels account for the width."""
+    atom mass at d."""
     counts, _, total = tower_counts(r, base, level)
-    c = _count_at(counts, r, base, d)
-    return Fraction(c, total), Fraction(c + r, total)
+    lo, hi = _enclosure_numerators(counts, r, base, d)
+    return Fraction(lo, total), Fraction(hi, total)
 
 
 @dataclass(frozen=True)
@@ -181,20 +186,19 @@ class EnclosureViolation:
 def check_enclosures(
     dist: DriftDistribution, level: int, min_mass: Fraction = Fraction(1, 10**9)
 ) -> list[EnclosureViolation]:
-    """Verify every atom above min_mass against its tower enclosure."""
+    """Verify every atom above min_mass against its tower enclosure,
+    lo <= mass <= hi cross-multiplied over the tower total."""
     r, base = dist.r, dist.base
     counts, _, total = tower_counts(r, base, level)
     violations = []
     for k, mass in enumerate(dist.atoms):
         if mass <= min_mass:
             continue
-        c = int(counts[k]) if k < len(counts) else 0
-        lo = Fraction(c, total)
-        hi = Fraction(c + r, total)
-        if not lo <= mass <= hi:
-            violations.append(
-                EnclosureViolation(r, base, level, k, dist.position(k), mass, lo, hi)
-            )
+        d = dist.position(k)
+        lo, hi = _enclosure_numerators(counts, r, base, d)
+        if not lo * mass.denominator <= mass.numerator * total <= hi * mass.denominator:
+            lo, hi = Fraction(lo, total), Fraction(hi, total)
+            violations.append(EnclosureViolation(r, base, level, k, d, mass, lo, hi))
     return violations
 
 
@@ -220,6 +224,10 @@ def cesaro_check(r: int, base: int, n: int, f: str, d: int | None = None) -> Ces
     side is an interval covering the certified tail.
     """
     check_base(base)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if f not in ("identity", "square", "abs", "indicator"):
+        raise ValueError(f"unknown function descriptor {f!r}")
     if f == "indicator" and d is None:
         raise ValueError("indicator needs a point d")
     dist = distribution(r, base)
@@ -238,11 +246,10 @@ def cesaro_check(r: int, base: int, n: int, f: str, d: int | None = None) -> Ces
         partial = sum(abs(Fraction(dd)) * m for dd, m in dist.items())
         t1 = tail_abs_moment_bound(dist, 1)
         return CesaroResult(emp, partial, partial + t1)
-    if f == "indicator":
-        q, rem = divmod(s_r - d, base - 1)
-        emp = Fraction(_count_at(counts, r, base, d), n)
-        mass = dist.mass_at(d)
-        if rem == 0 and q >= len(dist.atoms):
-            return CesaroResult(emp, Fraction(0), dist.tail_mass)
-        return CesaroResult(emp, mass, mass)
-    raise ValueError(f"unknown function descriptor {f!r}")
+    # indicator of d
+    emp = Fraction(_enclosure_numerators(counts, r, base, d)[0], n)
+    q, rem = divmod(s_r - d, base - 1)
+    if rem == 0 and q >= len(dist.atoms):
+        return CesaroResult(emp, Fraction(0), dist.tail_mass)
+    mass = dist.mass_at(d)
+    return CesaroResult(emp, mass, mass)

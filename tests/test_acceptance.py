@@ -236,7 +236,7 @@ def test_criterion_8_phi_mixing_bound():
     violations = []
     for k in range(3, 11):
         for p in (1, 4):
-            est = estimate_phi(r, 2, k, p, n, seed=SEED, values=X)
+            est = estimate_phi(r, 2, k, p, X)
             if est.violated:
                 violations.append((k, p, est.estimate, est.ci, est.bound))
     assert report(

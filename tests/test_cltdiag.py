@@ -358,7 +358,7 @@ def test_normalized_support_is_built_once_and_read_only():
 
 def test_normalized_support_cache_leaves_law_identity_alone(tmp_cache, tmp_path):
     d1 = distribution(118, 2, cache_dir=tmp_cache)  # miss: saved
-    path = os.path.join(tmp_cache, cache_key(2, 118, d1.tail_index - 1))
+    path = os.path.join(tmp_cache, cache_key(2, 118, len(d1.atoms) - 1))
     saved = Path(path).read_bytes()
     d2 = distribution(118, 2, cache_dir=tmp_cache)  # hit
     text = repr(d2)
@@ -368,6 +368,6 @@ def test_normalized_support_cache_leaves_law_identity_alone(tmp_cache, tmp_path)
     assert repr(d2) == text and repr(d1) == text
     # the loaded law, support built, saves back to the same bytes
     normalized_support(d2)
-    den = 2 ** (d2.tail_index + d2.digit_count_r())  # b**(K+1+L)
+    den = 2 ** (len(d2.atoms) + (118).bit_length())  # b**(K+1+L)
     resaved = save_cached_distribution(2, 118, [int(m * den) for m in d2.atoms], den, str(tmp_path))
     assert Path(resaved).read_bytes() == saved

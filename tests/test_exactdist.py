@@ -104,7 +104,6 @@ def test_distribution_unit_example():
         Fraction(1, 16),
     )
     assert d.tail_mass == Fraction(1, 16)
-    assert d.tail_index == 4
 
 
 def test_distribution_zero():
@@ -178,6 +177,35 @@ def test_distribution_mass_conservation_and_positivity():
         L = len(expand(r, b).digits)
         K = len(d.atoms) - 1
         assert d.tail_mass <= Fraction(1, b ** (K - L))
+
+
+def reference_atom_cutoff(r, base, tail_eps):
+    """The cutoff as one Fraction division per lattice step past the digit count."""
+    L = len(expand(r, base).digits)
+    extra = 0
+    bound = Fraction(1, base)  # tail after K = L + j is <= b**-(j+1)
+    while bound > tail_eps:
+        bound /= base
+        extra += 1
+    return L + extra
+
+
+@given(
+    st.integers(2, 40000),
+    st.integers(0, 10**60),
+    st.fractions(min_value=Fraction(1, 10**40), max_value=2),
+)
+def test_default_atom_cutoff_matches_fraction_loop(base, r, tail_eps):
+    assert default_atom_cutoff(r, base, tail_eps) == reference_atom_cutoff(r, base, tail_eps)
+
+
+@pytest.mark.parametrize("tail_eps", (Fraction(0), Fraction(-1, 10)))
+def test_nonpositive_tail_eps_is_refused(tail_eps):
+    # no cutoff K gives a tail of at most 0; the search once ran forever
+    with pytest.raises(ValueError):
+        default_atom_cutoff(5, 2, tail_eps)
+    with pytest.raises(ValueError):
+        distribution(5, 2, tail_eps=tail_eps)
 
 
 def test_carry_tail_probability_bound_shape():

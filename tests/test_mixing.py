@@ -156,33 +156,39 @@ def test_phi_bound_values():
 
 
 def test_estimate_phi_trivial_gap():
-    est = estimate_phi(pattern_10(4), 2, k=4, p=1, n_samples=100)
+    r = pattern_10(4)
+    est = estimate_phi(r, 2, k=4, p=1, X=process_matrix(r, 2, 100, seed=0))
     assert est.estimate == 0.0
+    assert est.samples == 100
     assert not est.violated
 
 
 def test_estimate_phi_bound_respected_small():
     r = pattern_10(8)
+    X = process_matrix(r, 2, 60000, seed=1)
     for k in (3, 5):
-        est = estimate_phi(r, 2, k=k, p=2, n_samples=60000, seed=1)
+        est = estimate_phi(r, 2, k=k, p=2, X=X)
         assert est.samples == 60000
         assert est.estimate - est.ci <= est.bound
         assert not est.violated
 
 
 def test_estimate_phi_insufficient_samples():
-    with pytest.raises(InsufficientSamples):
-        estimate_phi(pattern_10(8), 2, k=3, p=1, n_samples=30, seed=1)
-
-
-def test_estimate_phi_rejects_values_of_another_size():
-    # p_b divides by n_samples, so rows of a smaller matrix read as 0.694
-    # where the right estimate is 0.0356
     r = pattern_10(8)
-    X = process_matrix(r, 2, 4000, seed=1)
-    assert estimate_phi(r, 2, 3, 1, 4000, seed=1, values=X).estimate < 0.05
+    with pytest.raises(InsufficientSamples):
+        estimate_phi(r, 2, k=3, p=1, X=process_matrix(r, 2, 30, seed=1))
+
+
+def test_estimate_phi_rejects_a_matrix_of_another_lambda():
+    # the rows of (10)^8 read against the blocks of (10)^6 would mix up
+    # block laws and columns; the sample count is the matrix's own
+    X = process_matrix(pattern_10(8), 2, 4000, seed=1)
+    assert estimate_phi(pattern_10(8), 2, 3, 1, X).estimate < 0.05
+    for wrong in (pattern_10(6), pattern_10(9)):
+        with pytest.raises(ValueError):
+            estimate_phi(wrong, 2, 3, 1, X)
     with pytest.raises(ValueError):
-        estimate_phi(r, 2, 3, 1, 40000, seed=1, values=X)
+        estimate_phi(pattern_10(8), 2, 3, 1, X[:, 0])
 
 
 def test_wilson_radius_sane():

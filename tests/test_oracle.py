@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from digitdrift.errors import LevelTooSmall, TableTooLarge
 from digitdrift.exactdist import atom_mass, distribution, variance_exact
 from digitdrift.oracle import (
     CesaroResult,
+    EnclosureViolation,
     cesaro_check,
     check_enclosures,
     digit_sum_table,
@@ -117,6 +119,18 @@ def test_tower_level_too_small():
         tower_enclosure(100, 2, 5, 0)  # 2**6 = 64 <= 100
 
 
+def test_negative_tower_levels_are_refused():
+    # level -3 once counted b**-2 levels and returned a float level count
+    with pytest.raises(LevelTooSmall):
+        tower_counts(0, 2, -3)
+    with pytest.raises(LevelTooSmall):
+        tower_counts(0, 2, -1)
+    with pytest.raises(LevelTooSmall):
+        tower_enclosure(0, 10, -2, 0)
+    with pytest.raises(LevelTooSmall):
+        check_enclosures(distribution(0, 2), -3)
+
+
 def test_tower_counts_total():
     counts, m, total = tower_counts(118, 2, 9)
     assert total == 2**10
@@ -142,6 +156,24 @@ def test_enclosures_cover_atoms_small_sweep():
         for r in (1, 2, 5, 17, 60):
             dist = distribution(r, b, atoms=12)
             assert check_enclosures(dist, level) == []
+
+
+def test_check_enclosures_reports_atoms_moved_out():
+    # level 6 of r = 5 in base 2: counts [32, 32, 16, 24, 12, 5, 2] over 128
+    dist = distribution(5, 2, atoms=6)
+    atoms = list(dist.atoms)
+    atoms[2] = Fraction(1, 2)  # above [16, 21]/128
+    atoms[3] = Fraction(29, 128)  # on the upper end of [24, 29]/128: holds
+    atoms[4] = Fraction(1, 10**8)  # below [12, 17]/128
+    atoms[5] = Fraction(1, 10**9)  # outside [5, 10]/128, but not above min_mass
+    bad = replace(dist, atoms=tuple(atoms))
+    assert check_enclosures(bad, 6) == [
+        EnclosureViolation(5, 2, 6, 2, 0, Fraction(1, 2), Fraction(1, 8), Fraction(21, 128)),
+        EnclosureViolation(
+            5, 2, 6, 4, -2, Fraction(1, 10**8), Fraction(3, 32), Fraction(17, 128)
+        ),
+    ]
+    assert check_enclosures(dist, 6) == []  # atom 1 = 1/4 sits on its lower end
 
 
 def test_enclosure_sweep_tables_stay_small(monkeypatch):
@@ -255,6 +287,21 @@ def test_cesaro_zero_r(base):
     assert cesaro_check(0, base, 1000, "indicator", d=0) == one
     for d in (base - 1, 1 - base, 3):
         assert cesaro_check(0, base, 1000, "indicator", d=d) == zero
+
+
+def test_cesaro_check_refuses_bad_input_before_counting(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built a law or counts for an input it refuses")
+
+    monkeypatch.setattr(oracle, "distribution", unreachable)
+    monkeypatch.setattr(oracle, "_carry_counts", unreachable)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="n must be"):
+            cesaro_check(3, 2, n, "identity")
+    with pytest.raises(ValueError, match="unknown function"):
+        cesaro_check(3, 2, 100, "cube")
+    with pytest.raises(ValueError, match="needs a point"):
+        cesaro_check(3, 2, 100, "indicator")
 
 
 def test_cesaro_convergence_two_decades():

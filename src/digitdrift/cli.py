@@ -197,16 +197,15 @@ def _check_recursion(r: int, base: int, seed: int) -> list[str]:
     """One-digit recursion identity at random on-lattice points."""
     failures = []
     rnd = random.Random(seed * 0x9E3779B97F4A7C15 + r)  # keyed per r
-    ks = [rnd.randrange(0, 2 * len(expand(r, base).digits) + 2) for _ in range(3)]
+    ks = [rnd.randrange(0, 2 * expand(r, base).digit_count() + 2) for _ in range(3)]
     rt, r0 = divmod(r, base)
-    s_r = exactdist.int_digit_sum(r, base)
     # the points read from rt and rt + 1 sit at carry index k and k-1-(trailing
     # b-1 digits of rt), so max(ks) atoms cover all three laws
     law, law_lo, law_hi = (
         exactdist.distribution(u, base, atoms=max(ks)) for u in (r, rt, rt + 1)
     )
     for k in ks:
-        d = s_r - k * (base - 1)
+        d = law.position(k)
         lhs = law.mass_at(d)
         rhs = Fraction(base - r0, base) * law_lo.mass_at(d - r0) + Fraction(
             r0, base
@@ -295,17 +294,14 @@ def cmd_simulate(args) -> int:
     digits = odometer.sample_digit_matrix(r, args.base, n, args.seed, cap=args.cap)
     dist = exactdist.distribution(r, args.base, cache_dir=args.cache)
     delta, carries = odometer.drift_from_digits(digits, r, args.base)
-    s_r = dist.s_r
-    ident_ok = bool(np.all(delta == s_r - carries * (args.base - 1)))
+    ident_ok = bool(np.all(delta == dist.position(carries)))
     print(f"r = {r}  base = {args.base}  samples = {n}  seed = {args.seed}")
     print(f"carry identity holds for all samples: {ident_ok}")
-    kmax = int(carries.max()) if n else 0
-    counts = np.bincount(carries, minlength=kmax + 1)
+    counts = np.bincount(carries)
     print("  k    d     count     empirical      exact          z")
     worst = 0.0
     for k in range(len(counts)):
-        m = dist.atoms[k] if k < len(dist.atoms) else Fraction(0)
-        mf = float(m)
+        mf = float(dist.mass_at(dist.position(k)))
         se = math.sqrt(mf * (1 - mf) / n) if 0 < mf < 1 else float("nan")
         z = (counts[k] / n - mf) / se if se and not math.isnan(se) else 0.0
         worst = max(worst, abs(z))
@@ -429,6 +425,11 @@ def cmd_phi(args) -> int:
     if lam <= max(ks) + 1:
         raise UsageError(
             f"lambda(r) = {lam} too small for max gap {max(ks)} (need > max k + 1)"
+        )
+    if max(ks) + max(ps) > lam:
+        raise UsageError(
+            f"lambda(r) = {lam} leaves no block past the gap for max k + max p = "
+            f"{max(ks) + max(ps)} (need <= lambda)"
         )
     X = mixing.process_matrix(r, args.base, args.samples, args.seed)
     # every estimate before any output, so an error leaves stdout empty

@@ -46,4 +46,8 @@ class Int64Overflow(DigitDriftError, OverflowError):
 
 
 class TableTooLarge(DigitDriftError, ValueError):
-    """The oracle's digit-sum table would pass 2**31 entries."""
+    """The oracle's digit-sum table would pass 2**30 entries.
+
+    Counting over such a table peaks at 4 to 9 bytes of memory per entry,
+    several GB from 2**30 entries on.
+    """

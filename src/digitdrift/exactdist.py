@@ -39,11 +39,6 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
-def lattice_point(s_r: int, k: int, base: int) -> int:
-    """k-th possible drift value: s(r) - k*(b-1), k = carry count."""
-    return s_r - k * (base - 1)
-
-
 @dataclass(frozen=True)
 class DriftDistribution:
     """Exact atom masses of the drift law of r, plus the exact leftover tail.
@@ -63,7 +58,9 @@ class DriftDistribution:
             raise AssertionError("negative mass: distribution recursion is broken")
 
     def position(self, k: int) -> int:
-        return lattice_point(self.s_r, k, self.base)
+        """k-th possible drift value: s(r) - k*(b-1), k = carry count (an
+        int, or elementwise an int array)."""
+        return self.s_r - k * (self.base - 1)
 
     def items(self):
         """(d, mass) pairs, k ascending (d descending)."""
@@ -433,7 +430,7 @@ def load_cached_distribution(
         return None  # truncated, unparseable or not a v2 document; recompute and overwrite
     if key != (CACHE_VERSION, base, r) or len(nums) != K + 1:
         return None  # another version, a hash collision or a stale file
-    den = base ** (K + 1 + len(expand(r, base).digits))
+    den = base ** (K + 1 + expand(r, base).digit_count())
     if min(nums) < 0 or tail < 0 or sum(nums) + tail != den:
         return None  # not a split of the total mass
     return _from_numerators(r, base, nums, den)

@@ -10,10 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
-from .digits import block_prefix_integers, check_base, expand, int_digit_sum, rho_lambda
+from .digits import BlockKind, block_prefix_integers, check_base, decompose_blocks, expand
+from .digits import int_digit_sum, rho_lambda
 from .errors import InsufficientSamples
 from .exactdist import DriftDistribution, distribution
 from .odometer import prefix_digit_sums, sample_digit_matrix, sample_drift
@@ -71,17 +73,15 @@ def process_from_digits(X: np.ndarray, r: int, base: int) -> np.ndarray:
 def block_laws(r: int, base: int) -> list[DriftDistribution]:
     """Exact marginal law of each per-block contribution.
 
-    Block i acts like adding its own block value (trailing zeros do not
-    change the law), so the marginal is the drift distribution of the block
-    value alone.
+    Block i acts like adding its own run of digits (the zeros below it do
+    not change the law), so the marginal is the drift distribution of that
+    run alone.
     """
-    prefixes = block_prefix_integers(expand(r, base))
-    values = []
-    for i in range(len(prefixes) - 1):
-        v = prefixes[i + 1] - prefixes[i]
-        while v % base == 0:
-            v //= base
-        values.append(v)
+    values = [
+        blk.value(base) // base**blk.position
+        for blk in decompose_blocks(expand(r, base)).blocks
+        if blk.kind is not BlockKind.ZERO
+    ]
     laws = {v: distribution(v, base) for v in set(values)}
     return [laws[v] for v in values]
 
@@ -196,9 +196,9 @@ class PhiEstimate:
     ci: float  # combined Wilson radii at the maximizing pair
     bound: float
     samples: int
-    event_family: str
     a_events: int
     b_events: int
+    event_family: ClassVar[str] = "default"
 
     @property
     def violated(self) -> bool:
@@ -250,11 +250,9 @@ def estimate_phi(r: int, base: int, k: int, p: int, X: np.ndarray) -> PhiEstimat
     bound = phi_bound(k, base)
     if p + k > lam:
         # no blocks left beyond the gap: trivial sigma-algebra
-        return PhiEstimate(
-            r, base, k, p, 0.0, 0.0, bound, n_samples, "default", 0, 0
-        )
+        return PhiEstimate(r, base, k, p, 0.0, 0.0, bound, n_samples, 0, 0)
     laws = block_laws(r, base)
-    a_cols = list(range(min(p, lam)))
+    a_cols = list(range(p))
     b_cols = list(range(p + k - 1, lam))
     A = _side_events(X, a_cols, laws)
     B = _side_events(X, b_cols, laws)
@@ -277,15 +275,5 @@ def estimate_phi(r: int, base: int, k: int, p: int, X: np.ndarray) -> PhiEstimat
         int(round(count_ab[ai, bi])), int(count_a[ai])
     ) + wilson_radius(int(count_b[bi]), n_samples)
     return PhiEstimate(
-        r,
-        base,
-        k,
-        p,
-        estimate,
-        ci,
-        bound,
-        n_samples,
-        "default",
-        A.shape[1],
-        B.shape[1],
+        r, base, k, p, estimate, ci, bound, n_samples, A.shape[1], B.shape[1]
     )

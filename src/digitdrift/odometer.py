@@ -91,7 +91,7 @@ def sample_drift(sample, r: int, cap: int = DEFAULT_PROPAGATION_CAP) -> DriftSam
     if r < 0:
         raise ValueError("r must be nonnegative")
     b = sample.base
-    L = len(expand(r, b).digits)
+    L = expand(r, b).digit_count()
     limit = L + cap
     m = L
     x = sample.prefix_value(L)
@@ -142,7 +142,7 @@ def sample_digit_matrix(
     in any digit-sum difference.
     """
     check_base(base)
-    L = max(len(expand(r, base).digits), 1)
+    L = max(expand(r, base).digit_count(), 1)
     _check_int64(base, L)
     cols = [rng.digit_block(seed, base, n_samples, range(L), first_index).T]
     _, pending = prefix_digit_sums(cols[0], (r,), base)

@@ -33,9 +33,12 @@ def digit_sum_table(limit: int, base: int) -> np.ndarray:
     check_base(base)
     if limit <= 0:
         return np.zeros(0, dtype=np.uint8)
-    if limit > 2**31:
-        raise TableTooLarge("table limit too large: more than 2**31 entries")
-    max_sum = (base - 1) * len(expand(limit - 1, base).digits)
+    if limit > 2**30:
+        raise TableTooLarge(
+            "table limit too large: more than 2**30 entries, "
+            "and counting over it would need several GB of memory"
+        )
+    max_sum = (base - 1) * expand(limit - 1, base).digit_count()
     table = np.zeros(limit, dtype=np.min_scalar_type(max_sum))
     block = 1
     while block < limit:
@@ -231,25 +234,20 @@ def cesaro_check(r: int, base: int, n: int, f: str, d: int | None = None) -> Ces
     if f == "indicator" and d is None:
         raise ValueError("indicator needs a point d")
     dist = distribution(r, base)
-    s_r = dist.s_r
-    counts = _carry_counts(r, base, n)
-    ks = np.arange(len(counts))
-    ds = s_r - ks * (base - 1)
+    dens = empirical_density(r, base, n)
+    if f == "indicator":
+        emp = dens.get(d, Fraction(0))
+        q, rem = divmod(dist.s_r - d, base - 1)
+        if rem == 0 and q >= len(dist.atoms):
+            return CesaroResult(emp, Fraction(0), dist.tail_mass)
+        mass = dist.mass_at(d)
+        return CesaroResult(emp, mass, mass)
+    g = {"identity": lambda x: x, "square": lambda x: x * x, "abs": abs}[f]
+    emp = sum(g(dd) * m for dd, m in dens.items())
     if f == "identity":
-        emp = Fraction(int(np.sum(counts * ds)), n)
         return CesaroResult(emp, *mean_interval(dist))
     if f == "square":
-        emp = Fraction(int(np.sum(counts * ds * ds)), n)
         return CesaroResult(emp, *second_moment_interval(dist))
-    if f == "abs":
-        emp = Fraction(int(np.sum(counts * np.abs(ds))), n)
-        partial = sum(abs(Fraction(dd)) * m for dd, m in dist.items())
-        t1 = tail_abs_moment_bound(dist, 1)
-        return CesaroResult(emp, partial, partial + t1)
-    # indicator of d
-    emp = Fraction(_enclosure_numerators(counts, r, base, d)[0], n)
-    q, rem = divmod(s_r - d, base - 1)
-    if rem == 0 and q >= len(dist.atoms):
-        return CesaroResult(emp, Fraction(0), dist.tail_mass)
-    mass = dist.mass_at(d)
-    return CesaroResult(emp, mass, mass)
+    partial = sum(abs(Fraction(dd)) * m for dd, m in dist.items())
+    t1 = tail_abs_moment_bound(dist, 1)
+    return CesaroResult(emp, partial, partial + t1)

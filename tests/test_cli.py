@@ -349,6 +349,9 @@ def test_phi_lambda_too_small(capsys):
         ["simulate", str(2**124 + 5), "--base", str(2**62), "--samples", "10",
          "--cache", "{cache}"],
         ["verify", "1..3", "--base", "2", "--checks", "enclosure", "--level", "300"],
+        ["verify", "--random", "3", "--digits", "9", "--base", "10", "--checks", "enclosure"],
+        ["phi", "10101010101010101010", "--radix-input", "--base", "2", "--k", "3",
+         "--p", "1,9,50", "--samples", "4000"],
     ],
     ids=[
         "negative-tail-eps",
@@ -370,6 +373,8 @@ def test_phi_lambda_too_small(capsys):
         "sampler-base-past-uint64",
         "sampler-digit-sums-past-int64",
         "oracle-table-too-large",
+        "oracle-table-past-memory",
+        "phi-no-block-past-gap",
     ],
 )
 def test_invalid_input_is_usage_error(capsys, tmp_path, argv):

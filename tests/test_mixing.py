@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitdrift import odometer
+from digitdrift.digits import block_prefix_integers, expand
 from digitdrift.errors import InsufficientSamples
 from digitdrift.exactdist import distribution, unit_atom_mass, variance_exact
 from digitdrift.mixing import (
@@ -106,6 +109,21 @@ def test_block_laws_and_exact_stats():
     law1 = distribution(1, 2, atoms=40)
     assert exact_mode(law1) == 1
     assert exact_median(law1) == 0
+
+
+@given(st.integers(1, 10**15), st.sampled_from([2, 3, 7, 10, 16, 200]))
+@settings(max_examples=60)
+def test_block_laws_match_prefix_differences(r, base):
+    # reference: block i's value is the difference of consecutive block
+    # prefix integers with its trailing zeros stripped
+    prefixes = block_prefix_integers(expand(r, base))
+    values = []
+    for lo, hi in zip(prefixes, prefixes[1:]):
+        v = hi - lo
+        while v % base == 0:
+            v //= base
+        values.append(v)
+    assert block_laws(r, base) == [distribution(v, base) for v in values]
 
 
 def test_single_digit_block_histogram_matches_law():

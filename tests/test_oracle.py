@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitdrift import oracle
 from digitdrift.digits import expand, int_digit_sum
@@ -45,10 +47,11 @@ def test_digit_sum_table_wide_bases():
     assert digit_sum_table(10**5, 10).dtype == np.uint8
 
 
-def test_digit_sum_table_refuses_past_2_31():
-    with pytest.raises(TableTooLarge) as info:
-        digit_sum_table(2**31 + 1, 2)
-    assert isinstance(info.value, ValueError)
+def test_digit_sum_table_refuses_past_2_30():
+    for limit in (2**30 + 1, 2**31 + 1):
+        with pytest.raises(TableTooLarge) as info:
+            digit_sum_table(limit, 2)
+        assert isinstance(info.value, ValueError)
 
 
 def test_empirical_density_zero_r():
@@ -302,6 +305,24 @@ def test_cesaro_check_refuses_bad_input_before_counting(monkeypatch):
         cesaro_check(3, 2, 100, "cube")
     with pytest.raises(ValueError, match="needs a point"):
         cesaro_check(3, 2, 100, "indicator")
+
+
+@given(st.data(), st.integers(2, 40), st.integers(0, 3000), st.integers(1, 3000))
+@settings(max_examples=40)
+def test_cesaro_empirical_side_matches_one_by_one_count(data, base, r, n):
+    drifts = [int_digit_sum(x + r, base) - int_digit_sum(x, base) for x in range(n)]
+    expected = {
+        "identity": Fraction(sum(drifts), n),
+        "square": Fraction(sum(d * d for d in drifts), n),
+        "abs": Fraction(sum(abs(d) for d in drifts), n),
+    }
+    for f, emp in expected.items():
+        assert cesaro_check(r, base, n, f).empirical == emp
+    # on-lattice points, counted or not, and points just off the lattice
+    k = data.draw(st.integers(0, 8))
+    d = int_digit_sum(r, base) - k * (base - 1) + data.draw(st.sampled_from([0, 0, 1]))
+    res = cesaro_check(r, base, n, "indicator", d=d)
+    assert res.empirical == Fraction(drifts.count(d), n)
 
 
 def test_cesaro_convergence_two_decades():

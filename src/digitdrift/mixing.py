@@ -23,6 +23,9 @@ from .odometer import prefix_digit_sums, sample_digit_matrix, sample_drift
 # Wilson score z for 99.9% two-sided confidence.
 WILSON_Z = 3.290526731491926
 MIN_EVENT_HITS = 50
+# samples per slice of estimate_phi's pair counts; it bounds the float64
+# copies of the event matrices
+_PAIR_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -205,23 +208,20 @@ class PhiEstimate:
         return self.estimate - self.ci > self.bound
 
 
-def _side_events(X: np.ndarray, cols: list[int], laws) -> np.ndarray:
+def _side_events(X: np.ndarray, cols: list[int], cuts) -> np.ndarray:
     """Boolean event matrix for one side of the gap.
 
-    Per index: four one-coordinate events (>= exact median, == exact mode,
-    <= -1, == 0); plus all 16 combinations on the (first, last) index pair
-    when the side has at least two indices.
+    Per index c, with cuts[c] = (exact median, exact mode) of its law: four
+    one-coordinate events (>= median, == mode, <= -1, == 0); plus all 16
+    combinations on the (first, last) index pair when the side has at least
+    two indices.
     """
     preds = []
     per_col = {}
     for c in cols:
         col = X[:, c]
-        four = [
-            col >= exact_median(laws[c]),
-            col == exact_mode(laws[c]),
-            col <= -1,
-            col == 0,
-        ]
+        median, mode = cuts[c]
+        four = [col >= median, col == mode, col <= -1, col == 0]
         per_col[c] = four
         preds += four
     if len(cols) >= 2:
@@ -252,10 +252,15 @@ def estimate_phi(r: int, base: int, k: int, p: int, X: np.ndarray) -> PhiEstimat
         # no blocks left beyond the gap: trivial sigma-algebra
         return PhiEstimate(r, base, k, p, 0.0, 0.0, bound, n_samples, 0, 0)
     laws = block_laws(r, base)
+    # block_laws hands out one object per distinct law: its thresholds are
+    # computed once
+    distinct = {id(law): law for law in laws}
+    cut = {key: (exact_median(law), exact_mode(law)) for key, law in distinct.items()}
+    cuts = [cut[id(law)] for law in laws]
     a_cols = list(range(p))
     b_cols = list(range(p + k - 1, lam))
-    A = _side_events(X, a_cols, laws)
-    B = _side_events(X, b_cols, laws)
+    A = _side_events(X, a_cols, cuts)
+    B = _side_events(X, b_cols, cuts)
     count_a = A.sum(axis=0)
     keep = count_a >= MIN_EVENT_HITS
     if not keep.any():
@@ -265,7 +270,12 @@ def estimate_phi(r: int, base: int, k: int, p: int, X: np.ndarray) -> PhiEstimat
     A = A[:, keep]
     count_a = count_a[keep]
     count_b = B.sum(axis=0)
-    count_ab = A.astype(np.float64).T @ B.astype(np.float64)
+    # pair counts summed over row slices: each partial sum is an integer
+    # below 2**53, so the float64 total is exact
+    count_ab = np.zeros((A.shape[1], B.shape[1]))
+    for lo in range(0, n_samples, _PAIR_ROWS):
+        hi = lo + _PAIR_ROWS
+        count_ab += A[lo:hi].T.astype(np.float64) @ B[lo:hi].astype(np.float64)
     p_cond = count_ab / count_a[:, None]
     p_b = count_b / n_samples
     diffs = np.abs(p_cond - p_b[None, :])

@@ -144,13 +144,14 @@ def sample_digit_matrix(
     check_base(base)
     L = max(expand(r, base).digit_count(), 1)
     _check_int64(base, L)
-    cols = [rng.digit_block(seed, base, n_samples, range(L), first_index).T]
+    keys = rng.sample_keys(seed, n_samples, first_index)
+    cols = [rng.digit_block(keys, base, range(L)).T]
     _, pending = prefix_digit_sums(cols[0], (r,), base)
     j = L
     while pending.any():
         if j >= L + cap:
             raise PropagationCapExceeded(f"batch propagation exceeded cap {cap}")
-        cols.append(rng.digit_block(seed, base, n_samples, [j], first_index).T)
+        cols.append(rng.digit_block(keys, base, [j]).T)
         pending &= cols[-1][0] == base - 1
         j += 1
     return np.vstack(cols).T
@@ -163,8 +164,9 @@ def _check_int64(base: int, width: int) -> None:
         raise Int64Overflow(f"sampler digit sums overflow int64 at base {base}, width {width}")
 
 
-# elements (addends x samples) per pass of prefix_digit_sums; the pass's
-# carry buffers stay in cache while the sweep walks every digit position
+# elements (addends x samples) per pass of prefix_digit_sums; it bounds the
+# pass's small-int carry buffers. The pass's int64 carry counts, kept in the
+# output rows, take 8 bytes per element, so a pass does not stay in cache
 _CHUNK = 1 << 18
 
 
@@ -189,31 +191,29 @@ def prefix_digit_sums(
         td = expand(addend, base).digits
         D[a, : len(td), 0] = td
     s_t = D.sum(axis=1, dtype=np.int64)
-    sums = np.empty((len(addends), n), dtype=np.int64)
+    sums = np.zeros((len(addends), n), dtype=np.int64)
     carry_out = np.empty(n, dtype=bool)
     step = max(1, _CHUNK // len(addends))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        t = np.empty((len(addends), hi - lo), dtype=small)
+        out = sums[:, lo:hi]  # carries are counted in the output rows
+        t = np.empty(out.shape, dtype=small)
         carry = np.zeros_like(t)
         count = np.zeros_like(t)
-        carries = np.zeros(t.shape, dtype=np.int64)
         for j in range(m):
             np.add(Xt[j, lo:hi].astype(small), D[:, j], out=t)
             t += carry
             np.greater_equal(t, base, out=carry, casting="unsafe")
             count += carry
             if (j + 1) % span == 0:
-                carries += count
+                out += count
                 count[:] = 0
-        carries += count
-        # s((x + t) mod b^M) = s(x) + s(t) - (b-1)*carries - carry out,
-        # built in place in the carry-count buffer
-        carries *= 1 - base
-        carries += s_t
-        carries -= carry
-        carries += Xt[:, lo:hi].sum(axis=0, dtype=np.int64)
-        sums[:, lo:hi] = carries
+        out += count
+        # s((x + t) mod b^M) = s(x) + s(t) - (b-1)*carries - carry out
+        out *= 1 - base
+        out += s_t
+        out -= carry
+        out += Xt[:, lo:hi].sum(axis=0, dtype=np.int64)
         carry_out[lo:hi] = carry[-1]
     return sums, carry_out
 

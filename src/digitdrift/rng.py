@@ -58,36 +58,37 @@ def _mix64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-def digit_block(
-    seed: int,
-    base: int,
-    n_samples: int,
-    positions,
-    first_index: int = 0,
-) -> np.ndarray:
-    """Digit matrix of shape (n_samples, len(positions)) with contiguous
+def sample_keys(seed: int, n_samples: int, first_index: int = 0) -> np.ndarray:
+    """Mixed SplitMix64 keys of samples first_index .. first_index +
+    n_samples - 1, as uint64: the per-sample word u of digit_at. One key
+    array serves every digit_block call on the same samples."""
+    u = np.arange(first_index, first_index + n_samples, dtype=np.uint64)
+    u += 1
+    u *= _GOLD
+    u += seed & _MASK
+    return _mix64_np(u, np.empty_like(u))
+
+
+def digit_block(keys: np.ndarray, base: int, positions) -> np.ndarray:
+    """Digit matrix of shape (len(keys), len(positions)) with contiguous
     columns, in the smallest unsigned dtype that holds base - 1.
 
-    Row i holds the digits of sample first_index + i at the requested
-    positions; identical to digit_at entry by entry. The position-major
-    array is filled one position at a time, so besides the output only a
-    few n_samples-long buffers are live.
+    keys come from sample_keys; row i holds the digits of the sample keyed
+    keys[i] at the requested positions, identical to digit_at entry by
+    entry. The position-major array is filled one position at a time, so
+    besides the keys and the output only two len(keys)-long buffers are
+    live.
     """
     dtype = np.min_scalar_type(base - 1)
     b = np.uint64(base)
     rem = 2**64 % base
     limit = 2**64 - rem
-    keys = [(int(j) + 1) * _GOLD & _MASK for j in positions]
-    out = np.empty((len(keys), n_samples), dtype=dtype)
-    u = np.arange(first_index, first_index + n_samples, dtype=np.uint64)
-    w = np.empty_like(u)
-    tmp = np.empty_like(u)
-    u += 1
-    u *= _GOLD
-    u += seed & _MASK
-    _mix64_np(u, tmp)
-    for row, key in zip(out, keys):
-        np.add(u, key, out=w)
+    offsets = [(int(j) + 1) * _GOLD & _MASK for j in positions]
+    out = np.empty((len(offsets), len(keys)), dtype=dtype)
+    w = np.empty_like(keys)
+    tmp = np.empty_like(keys)
+    for row, offset in zip(out, offsets):
+        np.add(keys, offset, out=w)
         _mix64_np(_mix64_np(w, tmp), tmp)
         # w - (w // b) * b: uint64 floor division by a scalar is much
         # faster than the remainder ufunc
@@ -99,7 +100,7 @@ def digit_block(
             # rejection keeps the law exactly uniform
             bad = np.flatnonzero(w >= limit)
             if bad.size:
-                v = _mix64_np(u[bad] + key, np.empty(bad.size, np.uint64))
+                v = _mix64_np(keys[bad] + offset, np.empty(bad.size, np.uint64))
                 attempt = 0
                 while bad.size:
                     attempt += 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitdrift import odometer
+from digitdrift import mixing, odometer
 from digitdrift.digits import block_prefix_integers, expand
 from digitdrift.errors import InsufficientSamples
 from digitdrift.exactdist import distribution, unit_atom_mass, variance_exact
@@ -207,6 +207,33 @@ def test_estimate_phi_rejects_a_matrix_of_another_lambda():
             estimate_phi(wrong, 2, 3, 1, X)
     with pytest.raises(ValueError):
         estimate_phi(pattern_10(8), 2, 3, 1, X[:, 0])
+
+
+def test_estimate_phi_slices_give_the_one_pass_counts(monkeypatch):
+    r = pattern_10(8)
+    X = process_matrix(r, 2, 5000, seed=4)
+    whole = [estimate_phi(r, 2, k, p, X) for k in (3, 5) for p in (1, 2)]
+    # ragged slices, the last one short
+    monkeypatch.setattr(mixing, "_PAIR_ROWS", 777)
+    assert [estimate_phi(r, 2, k, p, X) for k in (3, 5) for p in (1, 2)] == whole
+
+
+def test_estimate_phi_memory_is_events_plus_slices(monkeypatch):
+    import tracemalloc
+
+    # float64 copies of the whole event matrices would take 8 bytes per
+    # sample and event; the bool events and one slice's copies fit the bound
+    monkeypatch.setattr(mixing, "_PAIR_ROWS", 1 << 12)
+    r, n = pattern_10(8), 1 << 16
+    X = process_matrix(r, 2, n, seed=0)
+    tracemalloc.start()
+    try:
+        est = estimate_phi(r, 2, 3, 1, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    events = est.a_events + est.b_events
+    assert peak < 3 * n * events + 16 * mixing._PAIR_ROWS * events
 
 
 def test_wilson_radius_sane():

@@ -57,12 +57,24 @@ def test_scalar_digits_match_vector_block():
     for base in (2, 10, 257, 3 * 2**62):
         for positions in (range(15), [7], [12, 3, 40], [5, 0, 5, 1]):
             for first_index in (0, 1000):
-                X = rng.digit_block(99, base, 40, positions, first_index)
+                X = rng.digit_block(rng.sample_keys(99, 40, first_index), base, positions)
                 assert X.shape == (40, len(positions))
                 assert X.dtype == np.min_scalar_type(base - 1)
                 for i in range(40):
                     for c, j in enumerate(positions):
                         assert X[i, c] == rng.digit_at(99, first_index + i, j, base)
+
+
+def test_digit_matrix_matches_scalar_reference_with_widening():
+    # r = 3**6 - 1 carries out of its 6 digits for every x but 0, so rows
+    # widen column by column while the next digit is 2
+    r, base, n = 3**6 - 1, 3, 300
+    for first_index in (0, 1000):
+        X = sample_digit_matrix(r, base, n, 11, first_index)
+        assert X.shape[1] > 6 + 3
+        for i in range(n):
+            for j in range(X.shape[1]):
+                assert X[i, j] == rng.digit_at(11, first_index + i, j, base)
 
 
 def test_digit_block_memory_is_output_plus_linear():
@@ -71,7 +83,7 @@ def test_digit_block_memory_is_output_plus_linear():
     n = 200_000
     tracemalloc.start()
     try:
-        X = rng.digit_block(1, 10, n, range(40))
+        X = rng.digit_block(rng.sample_keys(1, n), 10, range(40))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -191,7 +203,7 @@ def test_digit_matrix_propagation_cap():
 
 def test_prefix_digit_sums_against_integers():
     base, m, n = 3, 6, 500
-    Xt = rng.digit_block(5, base, n, range(m)).T
+    Xt = rng.digit_block(rng.sample_keys(5, n), base, range(m)).T
     addends = (0, 1, 200, base**m - 1)  # the last one carries out of most rows
     sums, carry_out = prefix_digit_sums(Xt, addends, base)
     for i in range(n):
@@ -218,7 +230,7 @@ def test_sample_digit_matrix_refuses_bases_past_int64(r, base):
 def test_digit_marginals_chi_square():
     # each position uniform at significance 1e-3
     n, m, base = 100000, 8, 10
-    X = rng.digit_block(2024, base, n, range(m))
+    X = rng.digit_block(rng.sample_keys(2024, n), base, range(m))
     for j in range(m):
         counts = np.bincount(X[:, j], minlength=base)
         chi2 = float(((counts - n / base) ** 2 / (n / base)).sum())

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cltdiag, exactdist, mixing, odometer, oracle
 from .digits import block_prefix_integers, decompose_blocks, digits_value, expand
-from .digits import reverse_expansion, rho_lambda
+from .digits import check_base, reverse_expansion, rho_lambda
 from .errors import DigitDriftError
 
 EXIT_OK = 0
@@ -251,6 +251,7 @@ def _check_enclosure(r: int, base: int, level: int | None) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    check_base(args.base)  # before --random draws digits or a level is searched
     r_values = _verify_r_values(args)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     known = {"recursion", "reverse", "bounds", "enclosure"}
@@ -359,6 +360,8 @@ def cmd_clt(args) -> int:
             raise UsageError("family syntax: PATTERN@m1,m2,...") from exc
         if not reps:
             raise UsageError("empty family")
+        if min(reps) < 1:
+            raise UsageError("repetition counts must be >= 1")
         members = pattern_family(pattern, reps, args.base)
     elif args.list:
         try:
@@ -370,6 +373,8 @@ def cmd_clt(args) -> int:
             raise UsageError(f"{args.list!r} holds a line that is not an integer") from exc
         if not members:
             raise UsageError("empty family list")
+        if min(members) < 0:
+            raise UsageError(f"{args.list!r} holds a negative integer")
     else:
         raise UsageError("need --family or --list")
     report = cltdiag.rate_report(members, args.base, cache_dir=args.cache)
@@ -415,8 +420,11 @@ def cmd_phi(args) -> int:
         raise UsageError("phi needs r >= 1")
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
-    ks = [int(x) for x in args.k.split(",") if x]
-    ps = [int(x) for x in args.p.split(",") if x]
+    try:
+        ks = [int(x) for x in args.k.split(",") if x]
+        ps = [int(x) for x in args.p.split(",") if x]
+    except ValueError as exc:
+        raise UsageError("--k and --p take comma lists of integers") from exc
     if not ks or not ps:
         raise UsageError("empty --k or --p")
     if min(ks + ps) < 1:

@@ -79,10 +79,6 @@ def expand(n: int, base: int) -> Expansion:
     return Expansion(base, tuple(ds))
 
 
-def digit_sum(e: Expansion) -> int:
-    return sum(e.digits)
-
-
 def drift(n: int, r: int, base: int) -> int:
     """Change of the digit sum when adding r to n: s(n+r) - s(n)."""
     check_base(base)

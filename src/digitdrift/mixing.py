@@ -108,33 +108,6 @@ def exact_mode(dist: DriftDistribution) -> int:
     return dist.position(best_k)
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    r: int
-    base: int
-    order: int
-    samples: int
-    per_block: tuple[tuple[float, float], ...]  # (estimate, standard error)
-    max_estimate: float
-
-
-def moment_check(
-    r: int, base: int, order: int, n_samples: int, seed: int = 0
-) -> MomentReport:
-    """Empirical absolute moments E|X_i|^order per block, with standard errors."""
-    if order == 0:
-        _, lam = rho_lambda(r, base)
-        return MomentReport(r, base, 0, n_samples, ((1.0, 0.0),) * lam, 1.0)
-    if not 1 <= order <= 4:
-        raise ValueError("order must be in 0..4")
-    X = process_matrix(r, base, n_samples, seed)
-    A = np.abs(X.astype(np.float64)) ** order
-    means = A.mean(axis=0)
-    ses = A.std(axis=0, ddof=1) / math.sqrt(n_samples)
-    per = tuple((float(m), float(s)) for m, s in zip(means, ses))
-    return MomentReport(r, base, order, n_samples, per, float(means.max()))
-
-
 def phi_bound(k: int, base: int) -> float:
     """Mixing-coefficient bound 2*((b-1)/b)**(k/2 - 1); may exceed 1 for
     small k (trivially true there)."""

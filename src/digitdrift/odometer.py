@@ -42,39 +42,6 @@ class LazyBadicSample:
         return digits_value((self.digit(i) for i in range(m - 1, -1, -1)), self.base)
 
 
-class ShiftedSample:
-    """View of an underlying sample advanced by a fixed integer t.
-
-    Shares the underlying randomness; digit i is the carry-correct digit of
-    x + t, so digits 0..i of x determine it.
-    """
-
-    def __init__(self, source, offset: int):
-        if offset < 0:
-            raise ValueError("offset must be nonnegative")
-        self.base = source.base
-        self.source = source
-        self.offset = offset
-
-    def digit(self, i: int) -> int:
-        b = self.base
-        block = b ** (i + 1)
-        total = self.source.prefix_value(i + 1) + self.offset % block
-        return (total // b**i) % b
-
-    def prefix_value(self, m: int) -> int:
-        block = self.base**m
-        return (self.source.prefix_value(m) + self.offset % block) % block
-
-
-def advance(sample, t: int):
-    """View of sample + t over the same randomness. advance(advance(x, a), b)
-    collapses to a single shift by a + b."""
-    if isinstance(sample, ShiftedSample):
-        return ShiftedSample(sample.source, sample.offset + t)
-    return ShiftedSample(sample, t)
-
-
 @dataclass(frozen=True)
 class DriftSample:
     delta: int
@@ -109,17 +76,6 @@ def sample_drift(sample, r: int, cap: int = DEFAULT_PROPAGATION_CAP) -> DriftSam
     delta = int_digit_sum(x + r, b) - s_x
     carries = (int_digit_sum(r, b) - delta) // (b - 1)
     return DriftSample(delta, carries, m)
-
-
-def truncated_drift(sample, r: int, k: int) -> int:
-    """Drift restricted to digit positions 0..k of x and of x + r."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    b = sample.base
-    block = b ** (k + 1)
-    x = sample.prefix_value(k + 1)
-    z = (x + r) % block
-    return int_digit_sum(z, b) - int_digit_sum(x, b)
 
 
 # --- vectorized batch sampling ----------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -352,6 +353,14 @@ def test_phi_lambda_too_small(capsys):
         ["verify", "--random", "3", "--digits", "9", "--base", "10", "--checks", "enclosure"],
         ["phi", "10101010101010101010", "--radix-input", "--base", "2", "--k", "3",
          "--p", "1,9,50", "--samples", "4000"],
+        ["verify", "--random", "2", "--digits", "3", "--base", "1"],
+        ["verify", "--random", "2", "--digits", "3", "--base", "0"],
+        ["phi", "10101010101010101010", "--radix-input", "--base", "2", "--k", "3,x",
+         "--samples", "100"],
+        ["phi", "10101010101010101010", "--radix-input", "--base", "2", "--p", "a",
+         "--samples", "100"],
+        ["clt", "--list", "{negative}", "--cache", "{cache}"],
+        ["clt", "--family", "10@-2", "--base", "2", "--cache", "{cache}"],
     ],
     ids=[
         "negative-tail-eps",
@@ -375,16 +384,25 @@ def test_phi_lambda_too_small(capsys):
         "oracle-table-too-large",
         "oracle-table-past-memory",
         "phi-no-block-past-gap",
+        "verify-random-base-1",
+        "verify-random-base-0",
+        "phi-k-not-integer",
+        "phi-p-not-integer",
+        "negative-list",
+        "clt-negative-repetitions",
     ],
 )
 def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
     not_int = tmp_path / "members.txt"
     not_int.write_text("5\nseven\n")
+    negative = tmp_path / "negative.txt"
+    negative.write_text("5\n-3\n")
     out_json = tmp_path / "rates.json"
     argv = [
         a.format(
             missing=tmp_path / "absent.txt",
             not_int=not_int,
+            negative=negative,
             cache=tmp_path / "cache",
             out_json=out_json,
         )
@@ -395,6 +413,30 @@ def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert not out_json.exists()
+
+
+def test_clt_refuses_repetition_counts_below_one_by_name(capsys, tmp_cache):
+    for reps in ("-2", "0", "2,-1"):
+        code, out, err = run_cli(
+            capsys, "clt", "--family", f"10@{reps}", "--base", "2", "--cache", tmp_cache
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: repetition counts must be >= 1\n"
+
+
+def test_verify_enclosure_refuses_base_below_two_at_once():
+    # with a base below 2 the enclosure's level search would never end; a
+    # child process lets the timeout fail this test instead of hanging the suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mixing.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for base in ("1", "0", "-3"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "digitdrift.cli", "verify", "1..3", "--base", base,
+             "--checks", "enclosure"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: base must be an integer >= 2")
 
 
 def test_simulate_refuses_base_before_caching(capsys, tmp_path):

@@ -9,7 +9,6 @@ from digitdrift.digits import (
     block_prefix_integers,
     carry_count,
     decompose_blocks,
-    digit_sum,
     digits_value,
     drift,
     expand,
@@ -72,9 +71,9 @@ def test_expand_round_trip(n, b):
 
 
 def test_digit_sum_examples():
-    assert digit_sum(expand(0, 10)) == 0
-    assert digit_sum(expand(118, 2)) == 5 == bin(118).count("1")
-    assert digit_sum(expand(999, 10)) == 27
+    assert int_digit_sum(0, 10) == 0
+    assert int_digit_sum(118, 2) == 5 == bin(118).count("1")
+    assert int_digit_sum(999, 10) == 27
 
 
 def test_drift_examples():

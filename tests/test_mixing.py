@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from digitdrift.mixing import (
     estimate_phi,
     exact_median,
     exact_mode,
-    moment_check,
     phi_bound,
     phi_half_sums,
     process_matrix,
@@ -140,29 +138,10 @@ def test_single_digit_block_histogram_matches_law():
         assert abs(freq - m) < 4 * math.sqrt(m * (1 - m) / n)
 
 
-def test_moment_check_order_zero():
-    rep = moment_check(118, 2, 0, 100)
-    assert rep.max_estimate == 1.0
-    assert all(est == 1.0 and se == 0.0 for est, se in rep.per_block)
-
-
-def test_moment_check_unit_exact_series():
+def test_unit_increment_abs_mean_is_one():
     # E|X| for the unit increment in base 2 equals 1 exactly
-    exact = sum(
-        abs(1 - k) * unit_atom_mass(k, 2) for k in range(200)
-    ) + Fraction(0)
+    exact = sum(abs(1 - k) * unit_atom_mass(k, 2) for k in range(200))
     assert math.isclose(float(exact), 1.0, abs_tol=1e-40)
-    rep = moment_check(1, 2, 1, 300000, seed=17)
-    est, se = rep.per_block[0]
-    assert abs(est - 1.0) < 4 * se
-
-
-def test_moment_check_single_digit_bound():
-    # second moments of single-digit blocks stay near their own variances
-    rep = moment_check(505, 10, 2, 150000, seed=2)
-    cap = max(float(variance_exact(a, 10)) for a in range(1, 9))  # 30 at digit 5
-    slack = 4 * max(se for _, se in rep.per_block)
-    assert rep.max_estimate <= cap + slack
 
 
 def test_phi_bound_values():

@@ -6,12 +6,10 @@ from digitdrift.errors import DigitDriftError, Int64Overflow, PropagationCapExce
 from digitdrift.odometer import (
     DriftSample,
     LazyBadicSample,
-    advance,
     drift_samples,
     prefix_digit_sums,
     sample_digit_matrix,
     sample_drift,
-    truncated_drift,
 )
 from digitdrift import rng
 from digitdrift.digits import int_digit_sum
@@ -115,48 +113,6 @@ def test_sample_drift_cap():
     s = AllMaxSample(2, [])
     with pytest.raises(PropagationCapExceeded):
         sample_drift(s, 1, cap=50)
-
-
-def test_truncated_drift_examples():
-    s = LazyBadicSample(2, seed=9, index=4)
-    full = sample_drift(s, 7)
-    k = full.digits_consumed + 2
-    assert truncated_drift(s, 7, k) == full.delta
-    assert truncated_drift(s, 0, 5) == 0
-
-
-def test_truncated_decomposition():
-    # s_k(x + t + u) - s_k(x) splits through the shifted view
-    for idx in range(30):
-        s = LazyBadicSample(10, seed=21, index=idx)
-        t, u, k = 47, 129, 9
-        lhs = truncated_drift(s, t + u, k)
-        rhs = truncated_drift(s, t, k) + truncated_drift(advance(s, t), u, k)
-        assert lhs == rhs
-
-
-def test_advance_zero_and_power():
-    s = LazyBadicSample(10, seed=2, index=0)
-    v0 = advance(s, 0)
-    assert [v0.digit(i) for i in range(12)] == [s.digit(i) for i in range(12)]
-    v = advance(s, 10**4)
-    assert [v.digit(i) for i in range(4)] == [s.digit(i) for i in range(4)]
-
-
-def test_advance_composes():
-    s = LazyBadicSample(10, seed=2, index=1)
-    v = advance(advance(s, 30), 12)
-    w = advance(s, 42)
-    assert [v.digit(i) for i in range(10)] == [w.digit(i) for i in range(10)]
-
-
-def test_cocycle_per_sample():
-    for idx in range(50):
-        s = LazyBadicSample(10, seed=5, index=idx)
-        t, u = 93, 4507
-        total = sample_drift(s, t + u).delta
-        split = sample_drift(s, t).delta + sample_drift(advance(s, t), u).delta
-        assert total == split
 
 
 def test_drift_samples_match_scalar():

@@ -373,10 +373,11 @@ def cmd_clt(args) -> int:
             raise UsageError(f"{args.list!r} holds a line that is not an integer") from exc
         if not members:
             raise UsageError("empty family list")
-        if min(members) < 0:
-            raise UsageError(f"{args.list!r} holds a negative integer")
     else:
         raise UsageError("need --family or --list")
+    if min(members) < 1:
+        source = f"--family {args.family!r}" if args.family else f"--list {args.list!r}"
+        raise UsageError(f"{source} holds a member below 1")
     report = cltdiag.rate_report(members, args.base, cache_dir=args.cache)
     lines = [",".join(RATE_COLUMNS)]
     lines += [",".join(_rate_row_cells(row)) for row in report.rows]

@@ -41,6 +41,10 @@ class LevelTooSmall(DigitDriftError):
     """Tower level must be >= 0 and satisfy base**(level+1) > r."""
 
 
+class LevelTooLarge(DigitDriftError):
+    """Tower level past oracle.MAX_LEVEL: the count grows about quadratically in it."""
+
+
 class Int64Overflow(DigitDriftError, OverflowError):
     """The vectorized sampler's digit sums would not fit in int64."""
 

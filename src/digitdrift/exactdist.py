@@ -385,16 +385,14 @@ def check_variance_bounds(r: int, base: int) -> VarianceReport:
     )
 
 
-def std_dev(r: int, base: int, precision_bits: int = 53) -> Fraction:
-    """Square root of the exact variance, within 2**-precision_bits.
+def std_dev(r: int, base: int) -> Fraction:
+    """Square root of the exact variance, within 2**-53.
 
-    Returned as a Fraction underestimate: result <= sqrt(Var) < result +
-    2**-precision_bits.
+    Returned as a Fraction underestimate: result <= sqrt(Var) < result + 2**-53.
     """
     var = variance_exact(r, base)
     n, d = var.numerator, var.denominator
-    scale = 1 << precision_bits
-    return Fraction(isqrt(n * d * scale * scale), d * scale)
+    return Fraction(isqrt(n * d << 106), d << 53)
 
 
 # --- distribution cache -----------------------------------------------------

@@ -81,14 +81,14 @@ def test_criterion_2_enclosure_sweep():
     start = time.time()
     for r in range(1, 2049):
         dist = distribution(r, 2, atoms=default_atom_cutoff(r, 2, Fraction(1, 10**12)))
-        bad = check_enclosures(dist, level=24, min_mass=Fraction(1, 10**9))
+        bad = check_enclosures(dist, level=24)
         violations += len(bad)
         checked += sum(1 for m in dist.atoms if m > Fraction(1, 10**9))
     base2_time = time.time() - start
     start = time.time()
     for r in range(1, 201):
         dist = distribution(r, 10, atoms=default_atom_cutoff(r, 10, Fraction(1, 10**12)))
-        bad = check_enclosures(dist, level=7, min_mass=Fraction(1, 10**9))
+        bad = check_enclosures(dist, level=7)
         violations += len(bad)
         checked += sum(1 for m in dist.atoms if m > Fraction(1, 10**9))
     base10_time = time.time() - start

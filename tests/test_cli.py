@@ -349,8 +349,7 @@ def test_phi_lambda_too_small(capsys):
         ["simulate", "5", "--base", str(2**64), "--samples", "10", "--cache", "{cache}"],
         ["simulate", str(2**124 + 5), "--base", str(2**62), "--samples", "10",
          "--cache", "{cache}"],
-        ["verify", "1..3", "--base", "2", "--checks", "enclosure", "--level", "300"],
-        ["verify", "--random", "3", "--digits", "9", "--base", "10", "--checks", "enclosure"],
+        ["verify", "1..3", "--base", "1099511627776", "--checks", "enclosure"],
         ["phi", "10101010101010101010", "--radix-input", "--base", "2", "--k", "3",
          "--p", "1,9,50", "--samples", "4000"],
         ["verify", "--random", "2", "--digits", "3", "--base", "1"],
@@ -361,6 +360,9 @@ def test_phi_lambda_too_small(capsys):
          "--samples", "100"],
         ["clt", "--list", "{negative}", "--cache", "{cache}"],
         ["clt", "--family", "10@-2", "--base", "2", "--cache", "{cache}"],
+        ["clt", "--list", "{zero}", "--cache", "{cache}"],
+        ["clt", "--family", "0@2", "--base", "2", "--cache", "{cache}"],
+        ["clt", "--family", "00@1,3", "--cache", "{cache}"],
     ],
     ids=[
         "negative-tail-eps",
@@ -382,7 +384,6 @@ def test_phi_lambda_too_small(capsys):
         "sampler-base-past-uint64",
         "sampler-digit-sums-past-int64",
         "oracle-table-too-large",
-        "oracle-table-past-memory",
         "phi-no-block-past-gap",
         "verify-random-base-1",
         "verify-random-base-0",
@@ -390,6 +391,9 @@ def test_phi_lambda_too_small(capsys):
         "phi-p-not-integer",
         "negative-list",
         "clt-negative-repetitions",
+        "clt-zero-in-list",
+        "clt-zero-family",
+        "clt-zero-family-base-10",
     ],
 )
 def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
@@ -397,12 +401,15 @@ def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
     not_int.write_text("5\nseven\n")
     negative = tmp_path / "negative.txt"
     negative.write_text("5\n-3\n")
+    zero = tmp_path / "zero.txt"
+    zero.write_text("0\n5\n")
     out_json = tmp_path / "rates.json"
     argv = [
         a.format(
             missing=tmp_path / "absent.txt",
             not_int=not_int,
             negative=negative,
+            zero=zero,
             cache=tmp_path / "cache",
             out_json=out_json,
         )
@@ -413,6 +420,9 @@ def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert not out_json.exists()
+    if argv[0] == "clt" and argv[2] in (str(zero), str(negative), "0@2", "00@1,3"):
+        # a member below 1 is refused by the name of the list or family
+        assert err == f"error: {argv[1]} {argv[2]!r} holds a member below 1\n"
 
 
 def test_clt_refuses_repetition_counts_below_one_by_name(capsys, tmp_cache):
@@ -422,6 +432,37 @@ def test_clt_refuses_repetition_counts_below_one_by_name(capsys, tmp_cache):
         )
         assert (code, out) == (2, "")
         assert err == "error: repetition counts must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--random", "3", "--digits", "9", "--base", "10"],
+        ["1..3", "--base", "2", "--level", "300"],
+    ],
+    ids=["9-digit-r", "level-300"],
+)
+def test_verify_enclosure_reaches_long_r(capsys, argv):
+    # both were refused while the oracle split n in two halves and counted
+    # the low one from a table of more than 2**30 entries
+    code, out, err = run_cli(capsys, "verify", *argv, "--checks", "enclosure")
+    assert (code, err) == (0, "")
+    assert out.endswith("checks=enclosure, failures=0\n")
+
+
+def test_verify_enclosure_refuses_absurd_level_at_once():
+    # the count grows about quadratically with the level; a child process lets
+    # the timeout fail this test instead of hanging the suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mixing.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for level in ("1001", "100000", "100000000"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "digitdrift.cli", "verify", "1..1", "--base", "10",
+             "--checks", "enclosure", "--level", level],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: tower level must be <= 1000, got {level}\n"
 
 
 def test_verify_enclosure_refuses_base_below_two_at_once():

@@ -364,7 +364,7 @@ def test_tail_bound_requires_enough_atoms():
 
 def test_std_dev_examples():
     for r, b, var in ((1, 2, 2), (3, 2, 3), (7, 10, 28)):
-        s = std_dev(r, b, 53)
+        s = std_dev(r, b)
         assert s * s <= var
         assert (s + Fraction(1, 2**53)) ** 2 > var
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from digitdrift import oracle
 from digitdrift.digits import expand, int_digit_sum
-from digitdrift.errors import LevelTooSmall, TableTooLarge
+from digitdrift.errors import LevelTooLarge, LevelTooSmall, TableTooLarge
 from digitdrift.exactdist import atom_mass, distribution, variance_exact
 from digitdrift.oracle import (
     CesaroResult,
@@ -168,7 +168,7 @@ def test_check_enclosures_reports_atoms_moved_out():
     atoms[2] = Fraction(1, 2)  # above [16, 21]/128
     atoms[3] = Fraction(29, 128)  # on the upper end of [24, 29]/128: holds
     atoms[4] = Fraction(1, 10**8)  # below [12, 17]/128
-    atoms[5] = Fraction(1, 10**9)  # outside [5, 10]/128, but not above min_mass
+    atoms[5] = Fraction(1, 10**9)  # outside [5, 10]/128, but not above 10^-9
     bad = replace(dist, atoms=tuple(atoms))
     assert check_enclosures(bad, 6) == [
         EnclosureViolation(5, 2, 6, 2, 0, Fraction(1, 2), Fraction(1, 8), Fraction(21, 128)),
@@ -179,8 +179,7 @@ def test_check_enclosures_reports_atoms_moved_out():
     assert check_enclosures(dist, 6) == []  # atom 1 = 1/4 sits on its lower end
 
 
-def test_enclosure_sweep_tables_stay_small(monkeypatch):
-    # level 24 counts 2**25 integers per r from tables of about 2**13 entries
+def record_table_limits(monkeypatch):
     limits = []
     real = oracle.digit_sum_table
 
@@ -189,9 +188,38 @@ def test_enclosure_sweep_tables_stay_small(monkeypatch):
         return real(limit, base)
 
     monkeypatch.setattr(oracle, "digit_sum_table", recording)
+    return limits
+
+
+def test_enclosure_sweep_tables_stay_small(monkeypatch):
+    # level 24 counts 2**25 integers per r from one table of 2**12 entries
+    limits = record_table_limits(monkeypatch)
     for r in (1, 5, 17, 60, 118):
         assert check_enclosures(distribution(r, 2, atoms=12), 24) == []
     assert limits and max(limits) <= 2**14
+
+
+@pytest.mark.parametrize("digits, base", [(60, 10), (200, 2)])
+def test_enclosures_of_long_r_from_small_tables(monkeypatch, digits, base):
+    # towers past 2**63 integers, counted in Python ints from tables of at
+    # most b**w entries, where b**w is the first power of b from 2**12 on
+    rnd = random.Random(digits)
+    r = rnd.randrange(base ** (digits - 1), base**digits)
+    level = digits + 3 if base == 10 else digits + 12  # b**(level+1) >= 4096 * r
+    dist = distribution(r, base)
+    limits = record_table_limits(monkeypatch)
+    assert check_enclosures(dist, level) == []
+    assert limits and max(limits) <= 2**16
+    counts, m, total = tower_counts(r, base, level)
+    assert counts.dtype == object and counts.sum() == m == total - r > 2**63
+
+
+def test_tower_level_bound():
+    # the CLI test of an absurd level checks that it is refused at once
+    with pytest.raises(LevelTooLarge, match="tower level must be <= 1000, got 1001"):
+        tower_counts(1, 10, oracle.MAX_LEVEL + 1)
+    counts, _, _ = tower_counts(1, 2, oracle.MAX_LEVEL)
+    assert counts[: oracle.MAX_LEVEL + 1].tolist() == [2 ** (1000 - k) for k in range(1001)]
 
 
 def reference_carries(r, base, m):
@@ -223,13 +251,24 @@ def test_tower_counts_match_one_by_one_count(base):
         level += 1
 
 
+@given(st.integers(2, 40000), st.integers(1, 3000), st.integers(1, 3000))
+@settings(max_examples=60, deadline=None)
+def test_carry_counts_match_one_by_one_count(base, r, m):
+    counts = oracle._carry_counts(r, base, m)
+    expected, max_sum = reference_carries(r, base, m)
+    assert counts.dtype == np.int64
+    assert len(counts) == (max_sum + int_digit_sum(r, base)) // (base - 1) + 2
+    assert {k: int(c) for k, c in enumerate(counts) if c} == expected
+
+
 @pytest.mark.parametrize(
     "r, base, n",
     [(37, 3, 70001), (118, 2, 5000), (44, 10, 12345), (250, 16, 9000), (5000, 10, 3000)],
 )
 def test_empirical_density_at_split_edges(r, base, n):
-    # B = b**h is the oracle's split point for n; the last case has an r
-    # with more digits than half of n, so n < B and the split is one block
+    # the edges of an earlier form of the count, which split n = hi*B + lo at
+    # B = b**h; the last case has an r with more digits than half of n, so
+    # n < B. They also cross the chunk edges of the count at b**w.
     h = max(-(-expand(n, base).digit_count() // 2), expand(r, base).digit_count())
     B = base**h
     s_r = int_digit_sum(r, base)
@@ -241,13 +280,16 @@ def test_empirical_density_at_split_edges(r, base, n):
 
 
 def test_tower_counts_reach_level_40():
-    # adding 1 to n carries once per trailing 1 bit: 2**(40-k) of the
-    # 2**41 - 1 counted n have k of them
-    counts, m, total = tower_counts(1, 2, 40)
-    assert (m, total) == (2**41 - 1, 2**41)
-    assert counts[:41].tolist() == [2 ** (40 - k) for k in range(41)]
-    assert not counts[41:].any()
-    assert counts.sum() == m
+    # adding 1 to n carries once per trailing 1 bit: 2**(level-k) of the
+    # 2**(level+1) - 1 counted n have k of them; past 2**63, as Python ints
+    for level, dtype in ((40, np.int64), (70, object)):
+        counts, m, total = tower_counts(1, 2, level)
+        assert (m, total) == (2 ** (level + 1) - 1, 2 ** (level + 1))
+        assert counts.dtype == dtype
+        assert counts[: level + 1].tolist() == [2 ** (level - k) for k in range(level + 1)]
+        assert all(type(c) is int for c in counts.tolist())
+        assert not counts[level + 1 :].any()
+        assert counts.sum() == m
 
 
 def test_enclosures_cover_atoms_base_200():

@@ -42,7 +42,9 @@ class LevelTooSmall(DigitDriftError):
 
 
 class LevelTooLarge(DigitDriftError):
-    """Tower level past oracle.MAX_LEVEL: the count grows about quadratically in it."""
+    """Tower level past oracle.MAX_LEVEL, where the count grows about
+    quadratically in the level, or a level and base whose count would
+    enumerate more than oracle.MAX_TOWER_VALUES chunk values."""
 
 
 class Int64Overflow(DigitDriftError, OverflowError):

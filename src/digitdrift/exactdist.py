@@ -106,23 +106,41 @@ def _carry_numerators(r: int, base: int, K: int) -> tuple[list[int], int]:
     """Numerators of the drift-law atoms 0..K of r (atom k: x + r makes k
     carries), with their common denominator b**(K+1+L), L the digit count.
 
-    F is the carry-count law of x + u and G that of x + u plus a carry-in,
-    for u = r // b**i. They start at u = 0 (G is then the law of r = 1) and
-    take the digits delta of r most significant first: the low digit of x
-    carries with probability delta/b in F and (delta+1)/b in G, and a carry
-    shifts the carry count of the digits above by one (yG).
+    x is a b-adic integer. The walk takes the digits delta of r least
+    significant first: p[k] and q[k] count, over b**i, the low i digits of x
+    that make k carries with r's low i digits and then no carry (p) or a
+    carry (q) into the next digit. Digit i of x carries out with delta + c
+    of its b values, c the carry in, and each carry adds one to the count.
+    Both stop at degree K, so the walk is about L**2 / 2 updates of
+    integers below b**L.
+
+    Above r's digits a carry goes on with probability 1/b per digit of x
+    (that digit is b-1), so x + r makes k carries with mass p[k] / b**L plus
+    (b-1) * sum_{j<=k} q[j] * b**j / b**(L+k+1). Over the common denominator
+    that is T_k * b**(K-k), T_k = b**(k+1) * p[k] + (b-1) * sum_{j<=k} q[j] * b**j,
+    and T_k is constant for k > L: past r's digits the atoms are geometric.
+    b**(K-k) grows by one factor of b per atom, not by a power per atom.
     """
     b = base
-    F = [b ** (K + 1)] + [0] * K
-    G = [(b - 1) * b ** (K - k) for k in range(K + 1)]
     digits = expand(r, b).digits
-    for delta in reversed(digits):
-        yG = [0] + G[:-1]
-        F, G = (
-            [(b - delta) * f + delta * g for f, g in zip(F, yG)],
-            [(b - delta - 1) * f + (delta + 1) * g for f, g in zip(F, yG)],
+    p, q = [1], [0]
+    for delta in digits:
+        p, q = (
+            [(b - delta) * f + (b - delta - 1) * g for f, g in zip(p, q)] + [0],
+            [0] + [delta * f + (delta + 1) * g for f, g in zip(p, q)],
         )
-    return F, b ** (K + 1 + len(digits))
+        del p[K + 1 :], q[K + 1 :]
+    T, s, bj = [], 0, 1  # bj = b**j
+    for f, g in zip(p, q):
+        s += g * bj
+        bj *= b
+        T.append(bj * f + (b - 1) * s)
+    T.append((b - 1) * s)  # every k past the walk, where p[k] = 0
+    nums, pw = [0] * (K + 1), 1  # pw = b**(K-k)
+    for k in range(K, -1, -1):
+        nums[k] = T[min(k, len(T) - 1)] * pw
+        pw *= b
+    return nums, b ** (K + 1 + len(digits))
 
 
 def _from_numerators(r: int, base: int, nums: list[int], den: int) -> DriftDistribution:
@@ -154,10 +172,10 @@ def default_atom_cutoff(r: int, base: int, tail_eps: Fraction) -> int:
     is certainly at most tail_eps."""
     if tail_eps <= 0:
         raise ValueError("tail_eps must be positive")
-    L = expand(r, base).digit_count()
-    K = L
-    while carry_tail_probability_bound(K + 1, L, base) > tail_eps:
-        K += 1
+    # the tail past K = L + j is at most b**-(j+1), see carry_tail_probability_bound
+    K, bound = expand(r, base).digit_count(), tail_eps.numerator * base
+    while bound < tail_eps.denominator:
+        K, bound = K + 1, bound * base
     return K
 
 
@@ -239,16 +257,25 @@ def tail_abs_moment_bound(dist: DriftDistribution, power: int) -> Fraction:
     return total * carry_tail_probability_bound(M, L, b)
 
 
+def _stored_moment(dist: DriftDistribution, power: int) -> Fraction:
+    """Sum of d**power * mass over the stored atoms, over their least common
+    denominator (a power of b for a law the engine computed)."""
+    den = math.lcm(*(m.denominator for m in dist.atoms))
+    return Fraction(
+        sum(d**power * m.numerator * (den // m.denominator) for d, m in dist.items()), den
+    )
+
+
 def mean_interval(dist: DriftDistribution) -> tuple[Fraction, Fraction]:
     """Exact interval certain to contain the mean of the drift law."""
-    center = sum(Fraction(d) * m for d, m in dist.items())
+    center = _stored_moment(dist, 1)
     t1 = tail_abs_moment_bound(dist, 1)
     return (center - t1, center + t1)
 
 
 def second_moment_interval(dist: DriftDistribution) -> tuple[Fraction, Fraction]:
     """Exact interval containing the second moment (= variance, zero mean)."""
-    partial = sum(Fraction(d) ** 2 * m for d, m in dist.items())
+    partial = _stored_moment(dist, 2)
     t2 = tail_abs_moment_bound(dist, 2)
     return (partial, partial + t2)
 

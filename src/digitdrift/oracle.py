@@ -28,6 +28,7 @@ from .exactdist import (
 
 _CHUNK = 2**12  # each chunk of the count below the top one enumerates at least this many values
 MAX_LEVEL = 1000  # highest tower level counted; see tower_counts
+MAX_TOWER_VALUES = 2**24  # most chunk values a tower count enumerates; see tower_counts
 
 
 def digit_sum_table(limit: int, base: int) -> np.ndarray:
@@ -79,6 +80,11 @@ def _chunk_moves(table, base, width, r_i, m_i, span, c):
     return steps, int(m_i >= cut), int(carries[m_i])
 
 
+def _chunk_width(base: int) -> int:
+    """Digits per chunk: the least w with b^w >= 2^12."""
+    return next(w for w in range(1, _CHUNK.bit_length() + 1) if base**w >= _CHUNK)
+
+
 def _carry_counts(r: int, base: int, m: int) -> np.ndarray:
     """counts[c] = |{n < m : adding r to n creates c carries}|: the state (carry
     0, below) after W = digits(m + r) digits, so the top chunk runs to m's."""
@@ -90,7 +96,7 @@ def _carry_counts(r: int, base: int, m: int) -> np.ndarray:
     kmax = (top_sum + int_digit_sum(r, base)) // (base - 1) + 2
     dtype = np.int64 if m + r < 2**63 else object  # no count passes max(m, b^(W-1))
     top = expand(m + r, base).digit_count()
-    w = next(w for w in range(1, _CHUNK.bit_length() + 1) if base**w >= _CHUNK)
+    w = _chunk_width(base)
     table = digit_sum_table(min(base**w, m + r + 1), base)  # serves every chunk
     states = np.zeros((2, 2, top + 1), dtype)  # [carry out, below m, carries]
     states[0, 0, 0] = 1
@@ -146,6 +152,11 @@ def tower_counts(r: int, base: int, level: int) -> tuple[np.ndarray, int, int]:
     level has mass 1/total. The count grows about quadratically in the
     level, so levels past MAX_LEVEL are refused: at level 1000 a random r of
     1000 digits took 0.3 s in base 2, 0.9 s in base 10, 7 s in base 40000.
+    It also grows with the values it enumerates, one chunk table per chunk
+    of the level + 1 digits, so counts past MAX_TOWER_VALUES of them are
+    refused too. At 2^24 values a random r took 0.5 s in base 2^20 at level
+    15, 0.6 s and 194 MB in base 2^23 at level 1, and 0.4 s and 322 MB in
+    base 4095 at level 1 (one chunk of 4095^2 values).
     """
     check_base(base)
     if r < 0:
@@ -154,6 +165,13 @@ def tower_counts(r: int, base: int, level: int) -> tuple[np.ndarray, int, int]:
         raise LevelTooSmall(f"tower level must be >= 0, got {level}")
     if level > MAX_LEVEL:
         raise LevelTooLarge(f"tower level must be <= {MAX_LEVEL}, got {level}")
+    w = _chunk_width(base)
+    values = -(-(level + 1) // w) * base ** min(w, level + 1)
+    if values > MAX_TOWER_VALUES:
+        raise LevelTooLarge(
+            f"tower level {level} in base {base} enumerates {values} chunk values, "
+            f"more than {MAX_TOWER_VALUES}"
+        )
     total = base ** (level + 1)
     if total <= r:
         raise LevelTooSmall(f"base**(level+1) = {total} must exceed r = {r}")

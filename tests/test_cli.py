@@ -465,6 +465,23 @@ def test_verify_enclosure_refuses_absurd_level_at_once():
         assert proc.stderr == f"error: tower level must be <= 1000, got {level}\n"
 
 
+def test_verify_enclosure_refuses_large_base_tower_at_once():
+    # every chunk of base 2^20 is one digit of 2^20 values: at level 250 the
+    # count took 12 s before it was refused by the values it enumerates
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mixing.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "digitdrift.cli", "verify", "1..1", "--base", str(2**20),
+         "--checks", "enclosure", "--level", "250"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: tower level 250 in base 1048576 enumerates 263192576 chunk values, "
+        "more than 16777216\n"
+    )
+
+
 def test_verify_enclosure_refuses_base_below_two_at_once():
     # with a base below 2 the enclosure's level search would never end; a
     # child process lets the timeout fail this test instead of hanging the suite

@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from digitdrift.digits import expand, int_digit_sum, reverse_expansion
 from digitdrift.errors import NotSingleBlock, TailBoundUnavailable, ZeroHasNoBlocks
 from digitdrift.exactdist import (
+    _carry_numerators,
     atom_mass,
     cache_key,
     carry_tail_probability_bound,
@@ -165,6 +168,44 @@ def test_engine_matches_exact_enumeration(b, r, K):
         assert atom_mass(r, b, s_r - k * (b - 1)) == exact[k]
 
 
+def reference_carry_numerators(r, base, K):
+    """The atom numerators over b**(K+1+L) by the most-significant-first
+    recursion: F is the carry-count law of x + u and G that of x + u plus a
+    carry-in, for u = r // b**i, from u = 0 (G is then the law of r = 1)."""
+    b = base
+    F = [b ** (K + 1)] + [0] * K
+    G = [(b - 1) * b ** (K - k) for k in range(K + 1)]
+    digits = expand(r, b).digits
+    for delta in reversed(digits):
+        yG = [0] + G[:-1]
+        F, G = (
+            [(b - delta) * f + delta * g for f, g in zip(F, yG)],
+            [(b - delta - 1) * f + (delta + 1) * g for f, g in zip(F, yG)],
+        )
+    return F, b ** (K + 1 + len(digits))
+
+
+@given(
+    st.integers(2, 40000),
+    st.one_of(st.just(0), st.integers(0, 10**60)),
+    st.integers(-40, 40),
+)
+def test_carry_numerators_match_most_significant_first_recursion(base, r, offset):
+    # K below, at and above the digit count L
+    K = max(0, expand(r, base).digit_count() + offset)
+    assert _carry_numerators(r, base, K) == reference_carry_numerators(r, base, K)
+
+
+def test_far_atom_is_the_geometric_tail():
+    # past the digit count L = 3 of r = 5 each atom is 1/b of the one before
+    start = time.perf_counter()
+    mass = atom_mass(5, 2, -20000)  # carry count q = s(5) + 20000
+    elapsed = time.perf_counter() - start
+    nums, den = reference_carry_numerators(5, 2, 3)
+    assert mass == Fraction(nums[3], den * 2 ** (20002 - 3))
+    assert elapsed < 2  # O(q) multiplications, no power of b per atom
+
+
 def test_distribution_mass_conservation_and_positivity():
     rng = random.Random(7)
     for _ in range(20):
@@ -197,6 +238,16 @@ def reference_atom_cutoff(r, base, tail_eps):
 )
 def test_default_atom_cutoff_matches_fraction_loop(base, r, tail_eps):
     assert default_atom_cutoff(r, base, tail_eps) == reference_atom_cutoff(r, base, tail_eps)
+
+
+@pytest.mark.parametrize(
+    "r, base, tail_eps, K",
+    [(0, 10, Fraction(1, 10**30), 29), (118, 2, Fraction(1, 2), 7), (118, 2, Fraction(1, 4), 8),
+     (118, 2, Fraction(1, 5), 9), (5, 3, Fraction(2, 9), 3), (5, 3, Fraction(1, 3), 2)],
+)
+def test_default_atom_cutoff_at_exact_powers(r, base, tail_eps, K):
+    # a tail bound b**-(j+1) equal to tail_eps is enough
+    assert default_atom_cutoff(r, base, tail_eps) == K == reference_atom_cutoff(r, base, tail_eps)
 
 
 @pytest.mark.parametrize("tail_eps", (Fraction(0), Fraction(-1, 10)))
@@ -326,6 +377,24 @@ def test_mean_interval_examples():
     d7 = distribution(7, 10, atoms=40)
     lo, hi = mean_interval(d7)
     assert lo <= 0 <= hi
+
+
+@given(
+    st.sampled_from([2, 3, 10, 200]),
+    st.integers(0, 10**30),
+    st.integers(0, 30),
+)
+def test_moment_intervals_match_fraction_sums(base, r, extra):
+    d = distribution(r, base, atoms=expand(r, base).digit_count() + extra)
+    t1, t2 = tail_abs_moment_bound(d, 1), tail_abs_moment_bound(d, 2)
+    center = sum(Fraction(x) * m for x, m in d.items())
+    partial = sum(Fraction(x) ** 2 * m for x, m in d.items())
+    assert mean_interval(d) == (center - t1, center + t1)
+    assert second_moment_interval(d) == (partial, partial + t2)
+    # a law whose atoms are not over a power of b sums the same way
+    odd = replace(d, atoms=tuple(m * Fraction(6, 7) for m in d.atoms))
+    center = sum(Fraction(x) * m for x, m in odd.items())
+    assert mean_interval(odd) == (center - t1, center + t1)
 
 
 def test_second_moment_interval_brackets_variance():

@@ -222,6 +222,23 @@ def test_tower_level_bound():
     assert counts[: oracle.MAX_LEVEL + 1].tolist() == [2 ** (1000 - k) for k in range(1001)]
 
 
+def test_tower_value_bound(monkeypatch):
+    # a chunk enumerates b^w values, w = 1 from base 2^12 up and w = 2 in
+    # base 200; a level of fewer than w digits is one chunk of b^(level+1)
+    monkeypatch.setattr(oracle, "MAX_TOWER_VALUES", 10 * 4096)
+    counts, _, _ = tower_counts(1, 4096, 9)  # 10 chunks of 4096 values
+    assert counts[:10].tolist() == [4095 * 4096 ** (9 - k) for k in range(10)]  # n + 1 carries over trailing 4095s
+    with pytest.raises(LevelTooLarge, match="tower level 10 in base 4096 enumerates 45056 chunk values"):
+        tower_counts(1, 4096, 10)
+    tower_counts(5, 200, 1)  # one chunk of 200^2
+    monkeypatch.setattr(oracle, "MAX_TOWER_VALUES", 200**2 - 1)
+    tower_counts(5, 200, 0)  # one chunk of 200
+    with pytest.raises(LevelTooLarge):
+        tower_counts(5, 200, 1)
+    with pytest.raises(LevelTooLarge):
+        tower_counts(5, 2**10000, 1)  # refused before the tower total is built
+
+
 def reference_carries(r, base, m):
     """Carry counts of n + r over n < m, one integer at a time, and the
     largest digit sum below m + r."""

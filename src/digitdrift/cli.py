@@ -258,6 +258,8 @@ def cmd_verify(args) -> int:
     unknown = set(checks) - known
     if unknown:
         raise UsageError(f"unknown checks: {sorted(unknown)}")
+    if not checks:
+        raise UsageError("--checks names no check")
 
     failures = []
     for r in r_values:

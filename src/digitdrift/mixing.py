@@ -18,7 +18,7 @@ from .digits import BlockKind, block_prefix_integers, check_base, decompose_bloc
 from .digits import int_digit_sum, rho_lambda
 from .errors import InsufficientSamples
 from .exactdist import DriftDistribution, distribution
-from .odometer import prefix_digit_sums, sample_digit_matrix, sample_drift
+from .odometer import carry_counts, sample_digit_matrix, sample_drift
 
 # Wilson score z for 99.9% two-sided confidence.
 WILSON_Z = 3.290526731491926
@@ -65,10 +65,15 @@ def process_matrix(r: int, base: int, n_samples: int, seed: int) -> np.ndarray:
 def process_from_digits(X: np.ndarray, r: int, base: int) -> np.ndarray:
     """process_matrix values of r on each row of a sample_digit_matrix(r, ...)."""
     prefixes = block_prefix_integers(expand(r, base))
-    sums, _ = prefix_digit_sums(X.T, prefixes, base)
-    for i in range(len(sums) - 1, 0, -1):  # np.diff, in place
-        sums[i] -= sums[i - 1]
-    V = sums[1:].T
+    # X_i = s(t_i) - s(t_(i-1)) - (b-1) * (carries of x + t_i less those of
+    # x + t_(i-1)), with t_0 = 0 carrying nowhere. The M columns hold every
+    # carry: x + t_i <= x + r < b^M on this matrix, so none leaves the top
+    V, _ = carry_counts(X.T, prefixes[1:], base)
+    for i in range(len(V) - 1, 0, -1):  # np.diff, in place
+        V[i] -= V[i - 1]
+    V *= 1 - base
+    V += np.diff([int_digit_sum(t, base) for t in prefixes])[:, None]
+    V = V.T
     wide = V.size and (V.min() < -(2**15) or V.max() >= 2**15)
     return np.ascontiguousarray(V, dtype=np.int64 if wide else np.int16)
 

@@ -94,15 +94,15 @@ def sample_digit_matrix(
     position-major array), in rng.digit_block's dtype.
 
     Columns past a row's own propagation depth are still drawn (they are
-    keyed by position, so values match the lazy scalar path); they cancel
-    in any digit-sum difference.
+    keyed by position, so values match the lazy scalar path); no carry of
+    x + r reaches them.
     """
     check_base(base)
     L = max(expand(r, base).digit_count(), 1)
     _check_int64(base, L)
     keys = rng.sample_keys(seed, n_samples, first_index)
     cols = [rng.digit_block(keys, base, range(L)).T]
-    _, pending = prefix_digit_sums(cols[0], (r,), base)
+    _, pending = carry_counts(cols[0], (r,), base)
     j = L
     while pending.any():
         if j >= L + cap:
@@ -114,27 +114,25 @@ def sample_digit_matrix(
 
 
 def _check_int64(base: int, width: int) -> None:
-    """The sweep holds digit + addend digit + carry (at most 2b - 1) and
-    digit sums of up to width digits ((b-1) * width) in int64."""
+    """The sweep holds digit + addend digit + carry (at most 2b - 1) in
+    int64, and its callers hold (b-1) times up to width carries there."""
     if 2 * base - 1 >= 2**63 or (base - 1) * width >= 2**63:
         raise Int64Overflow(f"sampler digit sums overflow int64 at base {base}, width {width}")
 
 
-# elements (addends x samples) per pass of prefix_digit_sums; it bounds the
+# elements (addends x samples) per pass of carry_counts; it bounds the
 # pass's small-int carry buffers. The pass's int64 carry counts, kept in the
 # output rows, take 8 bytes per element, so a pass does not stay in cache
 _CHUNK = 1 << 18
 
 
-def prefix_digit_sums(
-    Xt: np.ndarray, addends, base: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Digit sums of x + t for every addend t, in one sweep over positions.
+def carry_counts(Xt: np.ndarray, addends, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Carry counts of x + t for every addend t, in one sweep over positions.
 
     Xt is a position-major (M, n) digit matrix. Returns the (len(addends),
-    n) int64 digit sums of (x + t) mod base**M and the carry out of the top
-    position for the last addend; sample_digit_matrix widens the matrix
-    until that carry is zero for r.
+    n) int64 counts of the carries of x + t, the one out of the top position
+    included, and that top carry out for the last addend;
+    sample_digit_matrix widens the matrix until it is zero for r.
     """
     m, n = Xt.shape
     _check_int64(base, m)
@@ -146,13 +144,12 @@ def prefix_digit_sums(
     for a, addend in enumerate(addends):
         td = expand(addend, base).digits
         D[a, : len(td), 0] = td
-    s_t = D.sum(axis=1, dtype=np.int64)
-    sums = np.zeros((len(addends), n), dtype=np.int64)
+    counts = np.zeros((len(addends), n), dtype=np.int64)
     carry_out = np.empty(n, dtype=bool)
     step = max(1, _CHUNK // len(addends))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        out = sums[:, lo:hi]  # carries are counted in the output rows
+        out = counts[:, lo:hi]
         t = np.empty(out.shape, dtype=small)
         carry = np.zeros_like(t)
         count = np.zeros_like(t)
@@ -165,13 +162,8 @@ def prefix_digit_sums(
                 out += count
                 count[:] = 0
         out += count
-        # s((x + t) mod b^M) = s(x) + s(t) - (b-1)*carries - carry out
-        out *= 1 - base
-        out += s_t
-        out -= carry
-        out += Xt[:, lo:hi].sum(axis=0, dtype=np.int64)
         carry_out[lo:hi] = carry[-1]
-    return sums, carry_out
+    return counts, carry_out
 
 
 def drift_samples(
@@ -188,7 +180,5 @@ def drift_samples(
 
 def drift_from_digits(X: np.ndarray, r: int, base: int) -> tuple[np.ndarray, np.ndarray]:
     """(delta, carries) of r on each row of a sample_digit_matrix(r, ...)."""
-    (s_x, s_z), _ = prefix_digit_sums(X.T, (0, r), base)
-    delta = s_z - s_x
-    carries = (int_digit_sum(r, base) - delta) // (base - 1)
-    return delta, carries
+    (carries,), _ = carry_counts(X.T, (r,), base)
+    return int_digit_sum(r, base) - (base - 1) * carries, carries

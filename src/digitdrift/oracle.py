@@ -85,6 +85,12 @@ def _chunk_width(base: int) -> int:
     return next(w for w in range(1, _CHUNK.bit_length() + 1) if base**w >= _CHUNK)
 
 
+def _chunk_values(base: int, width: int) -> int:
+    """Chunk values a count over W = width digits enumerates: ceil(W/w) * b^min(w, W)."""
+    w = _chunk_width(base)
+    return -(-width // w) * base ** min(w, width)
+
+
 def _carry_counts(r: int, base: int, m: int) -> np.ndarray:
     """counts[c] = |{n < m : adding r to n creates c carries}|: the state (carry
     0, below) after W = digits(m + r) digits, so the top chunk runs to m's."""
@@ -129,12 +135,22 @@ def _enclosure_numerators(counts: np.ndarray, r: int, base: int, d: int) -> tupl
 
 
 def empirical_density(r: int, base: int, n: int) -> dict[int, Fraction]:
-    """Exact counting densities count/n of each drift value over 0..n-1."""
+    """Exact counting densities count/n of each drift value over 0..n-1.
+
+    Like tower_counts, a count past MAX_TOWER_VALUES chunk values is refused.
+    """
     check_base(base)
     if n < 1:
         raise ValueError("n must be >= 1")
     if r < 0:
         raise ValueError("r must be nonnegative")
+    width = expand(n + r, base).digit_count()
+    values = _chunk_values(base, width)
+    if values > MAX_TOWER_VALUES:
+        raise TableTooLarge(
+            f"counting the {width} digits of n + r in base {base} enumerates "
+            f"{values} chunk values, more than {MAX_TOWER_VALUES}"
+        )
     counts = _carry_counts(r, base, n)
     s_r = int_digit_sum(r, base)
     return {
@@ -165,8 +181,7 @@ def tower_counts(r: int, base: int, level: int) -> tuple[np.ndarray, int, int]:
         raise LevelTooSmall(f"tower level must be >= 0, got {level}")
     if level > MAX_LEVEL:
         raise LevelTooLarge(f"tower level must be <= {MAX_LEVEL}, got {level}")
-    w = _chunk_width(base)
-    values = -(-(level + 1) // w) * base ** min(w, level + 1)
+    values = _chunk_values(base, level + 1)
     if values > MAX_TOWER_VALUES:
         raise LevelTooLarge(
             f"tower level {level} in base {base} enumerates {values} chunk values, "

@@ -363,6 +363,8 @@ def test_phi_lambda_too_small(capsys):
         ["clt", "--list", "{zero}", "--cache", "{cache}"],
         ["clt", "--family", "0@2", "--base", "2", "--cache", "{cache}"],
         ["clt", "--family", "00@1,3", "--cache", "{cache}"],
+        ["verify", "1..3", "--checks", ""],
+        ["verify", "1..3", "--checks", ","],
     ],
     ids=[
         "negative-tail-eps",
@@ -394,6 +396,8 @@ def test_phi_lambda_too_small(capsys):
         "clt-zero-in-list",
         "clt-zero-family",
         "clt-zero-family-base-10",
+        "verify-no-checks",
+        "verify-only-commas",
     ],
 )
 def test_invalid_input_is_usage_error(capsys, tmp_path, argv):

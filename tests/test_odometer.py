@@ -6,13 +6,13 @@ from digitdrift.errors import DigitDriftError, Int64Overflow, PropagationCapExce
 from digitdrift.odometer import (
     DriftSample,
     LazyBadicSample,
+    carry_counts,
     drift_samples,
-    prefix_digit_sums,
     sample_digit_matrix,
     sample_drift,
 )
 from digitdrift import rng
-from digitdrift.digits import int_digit_sum
+from digitdrift.digits import carry_count
 
 
 class FixedSample:
@@ -157,23 +157,24 @@ def test_digit_matrix_propagation_cap():
         sample_digit_matrix(2**20 - 1, 2, 4096, 0, cap=0)
 
 
-def test_prefix_digit_sums_against_integers():
+def test_carry_counts_against_integers():
     base, m, n = 3, 6, 500
     Xt = rng.digit_block(rng.sample_keys(5, n), base, range(m)).T
     addends = (0, 1, 200, base**m - 1)  # the last one carries out of most rows
-    sums, carry_out = prefix_digit_sums(Xt, addends, base)
+    counts, carry_out = carry_counts(Xt, addends, base)
     for i in range(n):
         x = sum(int(Xt[j, i]) * base**j for j in range(m))
         for a, t in enumerate(addends):
-            assert sums[a, i] == int_digit_sum((x + t) % base**m, base)
+            assert counts[a, i] == carry_count(x, t, base)
         assert carry_out[i] == (x + addends[-1] >= base**m)
+    assert carry_out.any()
 
 
-def test_prefix_digit_sums_refuses_int64_overflow():
+def test_carry_counts_refuses_int64_overflow():
     base = 2**62
     Xt = np.full((3, 4), base - 1, dtype=np.uint64)
     with pytest.raises(OverflowError):
-        prefix_digit_sums(Xt, (0,), base)
+        carry_counts(Xt, (0,), base)
 
 
 @pytest.mark.parametrize("r,base", [(5, 2**62 + 1), (5, 2**64), (2**124 + 5, 2**62)])

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -237,6 +240,30 @@ def test_tower_value_bound(monkeypatch):
         tower_counts(5, 200, 1)
     with pytest.raises(LevelTooLarge):
         tower_counts(5, 2**10000, 1)  # refused before the tower total is built
+
+
+def test_empirical_density_value_bound():
+    # n + r has two digits in base 2^29 + 3, two chunks of that many values
+    # each, and the count's table alone would take gigabytes; a child process
+    # lets the timeout fail this test instead of the machine
+    code = (
+        "from digitdrift.errors import TableTooLarge\n"
+        "from digitdrift.oracle import empirical_density\n"
+        "try:\n"
+        "    empirical_density(5, 2**29 + 3, 2**29)\n"
+        "except TableTooLarge as e:\n"
+        "    print(e)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oracle.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        f"counting the 2 digits of n + r in base {2**29 + 3} enumerates "
+        f"{2 * (2**29 + 3)} chunk values, more than 16777216\n"
+    )
 
 
 def reference_carries(r, base, m):

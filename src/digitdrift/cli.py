@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -43,6 +44,7 @@ def _clip(text: str) -> str:
 def parse_digits(text: str, base: int) -> list[int]:
     """Base-b digits, most-significant first, in the format Expansion
     prints: dot-separated when the text holds a dot, else one per character."""
+    check_base(base)  # a base below 2 is at fault before any digit
     parts = text.split(".") if "." in text else list(text)
     try:
         digits = [int(p) for p in parts]
@@ -77,13 +79,20 @@ def fmt_float(x: float) -> str:
 
 
 def cmd_dist(args) -> int:
+    check_base(args.base)  # before a cutoff in this base is estimated
     r = parse_r(args.r, args.base, args.radix_input)
     if args.tail_eps_exp < 0:
         raise UsageError("--tail-eps must be >= 0")
-    tail_eps = Fraction(1, 10**args.tail_eps_exp)
     if args.atoms is not None and args.atoms < 1:
         raise UsageError("--atoms must be >= 1")
-    cutoff = None if args.atoms is None else args.atoms - 1
+    if args.atoms is None:
+        # the default cutoff for 10**-E has at least E / log10(b) - 1 atoms:
+        # refuse one the engine would refuse before 10**E is built
+        per_atom = math.ceil(1000 * math.log10(args.base))
+        exactdist.check_atom_cutoff(args.tail_eps_exp * 1000 // per_atom - 1, 0, args.base)
+        cutoff, tail_eps = None, Fraction(1, 10**args.tail_eps_exp)
+    else:
+        cutoff, tail_eps = args.atoms - 1, exactdist.DEFAULT_TAIL_EPS
     dist = exactdist.distribution(
         r, args.base, atoms=cutoff, tail_eps=tail_eps, cache_dir=args.cache
     )
@@ -107,17 +116,17 @@ def cmd_dist(args) -> int:
     if r >= 1:
         header["rho"], header["lambda"] = rho_lambda(r, args.base)
     if args.format == "json":
-        doc = dict(header)
-        doc["atoms"] = [
-            {
-                "k": k,
-                "d": dist.position(k),
-                "mass": exactdist.rational_str(m),
-                "decimal": float(m),
-            }
+        # the text of json.dumps(header + atoms, indent=2), with the atoms
+        # written here: an indent sends json to its pure-Python encoder. A
+        # mass is digits and "/", a decimal a finite float, which json
+        # writes as its repr, and the atom list is never empty
+        atoms = ",\n".join(
+            f'    {{\n      "k": {k},\n      "d": {dist.position(k)},\n'
+            f'      "mass": "{exactdist.rational_str(m)}",\n'
+            f'      "decimal": {float(m)!r}\n    }}'
             for k, m in enumerate(dist.atoms)
-        ]
-        print(json.dumps(doc, indent=2))
+        )
+        print(f'{json.dumps(header, indent=2)[:-2]},\n  "atoms": [\n{atoms}\n  ]\n}}')
     elif args.format == "csv":
         print("k,d,mass,decimal")
         for k, m in enumerate(dist.atoms):
@@ -491,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tail target 10^-EXP when --atoms is not given",
     )
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--cache", default=cache_dir_default())
+    p.add_argument("--cache", default=None)
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("blocks", help="block decomposition of r")
@@ -519,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=odometer.DEFAULT_PROPAGATION_CAP,
         help="carry propagation depth cap past the digits of r",
     )
-    p.add_argument("--cache", default=cache_dir_default())
+    p.add_argument("--cache", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("clt", help="rate table over a family of r")
@@ -529,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV output path (JSON twin alongside)")
     p.add_argument("--min-rho", type=int, default=16)
     p.add_argument("--ratio-cap", type=float, default=10.0)
-    p.add_argument("--cache", default=cache_dir_default())
+    p.add_argument("--cache", default=None)
     p.set_defaults(func=cmd_clt)
 
     p = sub.add_parser("phi", help="empirical mixing estimates vs the bound")
@@ -543,12 +552,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if getattr(args, "cache", "") is None:  # the parser outlives DIGITDRIFT_CACHE
+        args.cache = cache_dir_default()
     # r crosses text only here: read and print it at any digit count, and
     # leave Python's int <-> str limit as it was for everyone else
     limit = sys.get_int_max_str_digits()

@@ -21,6 +21,11 @@ class TailBoundUnavailable(DigitDriftError):
     """Certified tail bounds need the atom cutoff K >= digit count of r."""
 
 
+class CutoffTooLarge(DigitDriftError):
+    """The exact engine's numerators for an atom cutoff would pass
+    exactdist.MAX_NUMERATOR_BITS bits in total."""
+
+
 class TailTooHeavy(DigitDriftError):
     """Distribution tail mass too large for the requested diagnostic."""
 

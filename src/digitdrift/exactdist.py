@@ -22,12 +22,16 @@ import numpy as np
 
 from .digits import check_base, expand, int_digit_sum, rho_lambda
 from .errors import (
+    CutoffTooLarge,
     NotSingleBlock,
     TailBoundUnavailable,
     ZeroHasNoBlocks,
 )
 
 DEFAULT_TAIL_EPS = Fraction(1, 10**30)
+# the most numerator bits (512 MB) one law may take; their total grows
+# about quadratically with the atom cutoff
+MAX_NUMERATOR_BITS = 2**32
 
 
 def rational_str(q: Fraction) -> str:
@@ -102,6 +106,16 @@ def unit_atom_mass(k: int, base: int) -> Fraction:
     return Fraction(base - 1, base ** (k + 1))
 
 
+def check_atom_cutoff(K: int, digit_count: int, base: int) -> None:
+    """Refuse an atom cutoff K of an L-digit r whose numerators would pass
+    MAX_NUMERATOR_BITS: each of the K+1 is below b**(K+1+L)."""
+    if (K + 1) * (K + 1 + digit_count) > MAX_NUMERATOR_BITS / math.log2(base):
+        raise CutoffTooLarge(
+            f"atom cutoff {K} in base {base} needs more than "
+            f"{MAX_NUMERATOR_BITS} numerator bits"
+        )
+
+
 def _carry_numerators(r: int, base: int, K: int) -> tuple[list[int], int]:
     """Numerators of the drift-law atoms 0..K of r (atom k: x + r makes k
     carries), with their common denominator b**(K+1+L), L the digit count.
@@ -123,6 +137,7 @@ def _carry_numerators(r: int, base: int, K: int) -> tuple[list[int], int]:
     """
     b = base
     digits = expand(r, b).digits
+    check_atom_cutoff(K, len(digits), b)
     p, q = [1], [0]
     for delta in digits:
         p, q = (

@@ -1,18 +1,36 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from digitdrift import mixing, odometer
 from digitdrift.cli import main, parse_r, pattern_family, UsageError
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(mixing.__file__)))
+HUGE_R = "1" + "0" * 4998 + "7"  # 5000 digits, past the int <-> str limit
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv, env=None):
+    """The CLI in a fresh interpreter, with a 60 s timeout."""
+    env = dict(os.environ if env is None else env, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "digitdrift.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 def test_parse_r_forms():
@@ -79,6 +97,68 @@ def test_dist_json_and_csv_deterministic(capsys, tmp_cache):
     code3, out3, _ = run_cli(capsys, *args, "--format", "csv")
     assert code3 == 0
     assert out3.splitlines()[0] == "k,d,mass,decimal"
+
+
+@given(
+    base=st.integers(2, 40000),
+    r=st.integers(0, 10**40).map(str),
+    atoms=st.none() | st.integers(1, 60),
+)
+@example(base=7, r="0", atoms=None)  # r = 0: no rho or lambda
+@example(base=10, r="5900991", atoms=1)
+@example(base=2, r="118", atoms=3)  # K < L: mean_interval is null
+@example(base=10, r=HUGE_R, atoms=3)
+def test_dist_json_is_the_indent_2_layout(base, r, atoms):
+    argv = ["dist", r, "--base", str(base), "--format", "json"]
+    argv += [] if atoms is None else ["--atoms", str(atoms)]
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as cache, contextlib.redirect_stdout(out):
+        assert main(argv + ["--cache", cache]) == 0
+    text = out.getvalue()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    assert ("rho" in doc) == (r != "0")
+    assert all(a["decimal"] == float(Fraction(a["mass"])) for a in doc["atoms"])
+    assert len(doc["atoms"]) == doc["atom_count"] >= 1
+
+
+def test_cache_default_is_read_on_every_call(capsys, monkeypatch, tmp_path):
+    for name in ("a", "b"):
+        monkeypatch.setenv("DIGITDRIFT_CACHE", str(tmp_path / name))
+        code, _, _ = run_cli(capsys, "dist", "5900991", "--atoms", "3")
+        assert code == 0
+        assert len(os.listdir(tmp_path / name)) == 1
+    assert os.listdir(tmp_path / "a") == os.listdir(tmp_path / "b")
+
+
+def test_parser_reuse_keeps_output(capsys, monkeypatch, tmp_path):
+    # a usage error, then a valid call, on the one parser of this process
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, DIGITDRIFT_CACHE=str(tmp_path / "fresh"))
+    code, out, _ = run_cli(capsys, "dist", "5", "--format", "yaml")
+    assert (code, out) == (2, "")
+    argv = ["dist", "5900991", "--format", "json", "--cache", str(tmp_path / "cache")]
+    for run_argv in (argv, ["-h"], ["dist", "-h"], ["simulate", "-h"], ["clt", "-h"]):
+        code, out, _ = run_cli(capsys, *run_argv)
+        proc = run_cli_process(*run_argv, env=env)
+        assert code == 0
+        assert (code, out) == (proc.returncode, proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--atoms", "100000000"], ["--tail-eps", "100000000"]],
+    ids=["atoms", "tail-eps"],
+)
+def test_dist_refuses_absurd_cutoff_at_once(flags, tmp_path):
+    # 10**8 atoms would build about 10**16 numerator bits; a child process
+    # lets the timeout fail this test instead of hanging the suite
+    proc = run_cli_process("dist", "1", *flags, "--cache", str(tmp_path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: atom cutoff 99999999 in base 10 needs more than 4294967296 numerator bits\n"
+    )
+    assert not any(tmp_path.iterdir())
 
 
 def test_dist_bad_base(capsys):
@@ -365,6 +445,8 @@ def test_phi_lambda_too_small(capsys):
         ["clt", "--family", "00@1,3", "--cache", "{cache}"],
         ["verify", "1..3", "--checks", ""],
         ["verify", "1..3", "--checks", ","],
+        ["blocks", "0", "--radix-input", "--base", "1"],
+        ["clt", "--family", "1@1", "--base", "1", "--cache", "{cache}"],
     ],
     ids=[
         "negative-tail-eps",
@@ -398,6 +480,8 @@ def test_phi_lambda_too_small(capsys):
         "clt-zero-family-base-10",
         "verify-no-checks",
         "verify-only-commas",
+        "blocks-radix-input-base-1",
+        "clt-family-base-1",
     ],
 )
 def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
@@ -427,6 +511,10 @@ def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
     if argv[0] == "clt" and argv[2] in (str(zero), str(negative), "0@2", "00@1,3"):
         # a member below 1 is refused by the name of the list or family
         assert err == f"error: {argv[1]} {argv[2]!r} holds a member below 1\n"
+    base = argv[argv.index("--base") + 1] if "--base" in argv else "10"
+    if int(base) < 2:
+        # the base is at fault before r's digits or the family's pattern
+        assert err == f"error: base must be an integer >= 2, got {base}\n"
 
 
 def test_clt_refuses_repetition_counts_below_one_by_name(capsys, tmp_cache):

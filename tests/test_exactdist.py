@@ -10,12 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitdrift.digits import expand, int_digit_sum, reverse_expansion
-from digitdrift.errors import NotSingleBlock, TailBoundUnavailable, ZeroHasNoBlocks
+from digitdrift.errors import (
+    CutoffTooLarge,
+    NotSingleBlock,
+    TailBoundUnavailable,
+    ZeroHasNoBlocks,
+)
 from digitdrift.exactdist import (
+    MAX_NUMERATOR_BITS,
     _carry_numerators,
     atom_mass,
     cache_key,
     carry_tail_probability_bound,
+    check_atom_cutoff,
     check_variance_bounds,
     default_atom_cutoff,
     distribution,
@@ -204,6 +211,27 @@ def test_far_atom_is_the_geometric_tail():
     nums, den = reference_carry_numerators(5, 2, 3)
     assert mass == Fraction(nums[3], den * 2 ** (20002 - 3))
     assert elapsed < 2  # O(q) multiplications, no power of b per atom
+
+
+def test_atom_cutoff_bound():
+    # K+1 numerators below b**(K+1+L): in base 2 with L = 0, (K+1)**2 bits
+    assert MAX_NUMERATOR_BITS == 2**32
+    check_atom_cutoff(2**16 - 1, 0, 2)
+    with pytest.raises(CutoffTooLarge):
+        check_atom_cutoff(2**16, 0, 2)
+    with pytest.raises(CutoffTooLarge):
+        check_atom_cutoff(2**16 - 1, 1, 2)
+    check_atom_cutoff(20002, 3, 2)  # the geometric-tail atom above
+    check_atom_cutoff(3, 5000, 10)  # a 5000-digit r at --atoms 4
+
+
+def test_cutoff_past_the_bound_is_refused_before_the_walk():
+    start = time.perf_counter()
+    with pytest.raises(CutoffTooLarge, match="atom cutoff 100000000 in base 10"):
+        distribution(1, 10, atoms=10**8)
+    with pytest.raises(CutoffTooLarge):
+        atom_mass(5, 2, -(10**8))
+    assert time.perf_counter() - start < 2
 
 
 def test_distribution_mass_conservation_and_positivity():

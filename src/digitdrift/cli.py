@@ -97,7 +97,7 @@ def cmd_dist(args) -> int:
         r, args.base, atoms=cutoff, tail_eps=tail_eps, cache_dir=args.cache
     )
     var = exactdist.variance_exact(r, args.base)
-    sigma = exactdist.std_dev(r, args.base)
+    sigma = exactdist._sqrt_below(var)  # std_dev(r, base), without a second variance
     try:
         lo, hi = exactdist.mean_interval(dist)
         mean_txt = (exactdist.rational_str(lo), exactdist.rational_str(hi))

@@ -52,6 +52,11 @@ class LevelTooLarge(DigitDriftError):
     enumerate more than oracle.MAX_TOWER_VALUES chunk values."""
 
 
+class TooManySamples(DigitDriftError):
+    """A sampler batch past odometer.MAX_SAMPLES samples, refused before
+    any per-sample array is allocated."""
+
+
 class Int64Overflow(DigitDriftError, OverflowError):
     """The vectorized sampler's digit sums would not fit in int64."""
 

@@ -116,6 +116,35 @@ def check_atom_cutoff(K: int, digit_count: int, base: int) -> None:
         )
 
 
+# the packed carry walk widens its slots in stretches of at least this many
+# bits of b**i; r below that keeps one slot width for its whole walk
+_STRETCH_BITS = 256
+# the cap on the walk's allocator priming: glibc lifts its mmap threshold
+# only to a freed block of at most 32 MB
+_PRIMED_BYTES = 2**24
+
+
+def _slot_bits(bound: int) -> int:
+    """The byte-aligned slot width, in bits, that holds every count <= bound."""
+    return -(-bound.bit_length() // 8) * 8
+
+
+def _repack(X: int, n: int, w: int, w2: int) -> int:
+    """X's n slots of w bits moved to slots of w2 >= w bits (both byte-aligned)."""
+    wb, pad = w // 8, bytes((w2 - w) // 8)
+    buf = X.to_bytes(n * wb, "little")
+    return int.from_bytes(
+        b"".join(buf[j : j + wb] + pad for j in range(0, n * wb, wb)), "little"
+    )
+
+
+def _unpack(X: int, n: int, w: int) -> list[int]:
+    """The n slots of w bits (byte-aligned) of X, lowest first."""
+    wb = w // 8
+    buf = X.to_bytes(n * wb, "little")
+    return [int.from_bytes(buf[j : j + wb], "little") for j in range(0, n * wb, wb)]
+
+
 def _carry_numerators(r: int, base: int, K: int) -> tuple[list[int], int]:
     """Numerators of the drift-law atoms 0..K of r (atom k: x + r makes k
     carries), with their common denominator b**(K+1+L), L the digit count.
@@ -124,9 +153,27 @@ def _carry_numerators(r: int, base: int, K: int) -> tuple[list[int], int]:
     significant first: p[k] and q[k] count, over b**i, the low i digits of x
     that make k carries with r's low i digits and then no carry (p) or a
     carry (q) into the next digit. Digit i of x carries out with delta + c
-    of its b values, c the carry in, and each carry adds one to the count.
-    Both stop at degree K, so the walk is about L**2 / 2 updates of
-    integers below b**L.
+    of its b values, c the carry in, and each carry adds one to the count:
+    p, q <- (b-delta)*p + (b-delta-1)*q, y*(delta*p + (delta+1)*q), cut at
+    degree K.
+
+    p and q are packed into two integers P and Q, coefficient k in the
+    w-bit slot k (Kronecker substitution), so a digit is a few whole-integer
+    operations: with S = P + Q, Q <- delta*S + Q, P <- b*S - Q, Q <- Q << w
+    (the first skipped for delta = 0, the second, which leaves P as it is,
+    for delta = b-1), and Q cut to K+1 slots once the walk reaches degree K;
+    P never passes degree K, since Q is cut first. This is exact because no
+    slot ever overflows into the next: after i digits, p[k] and q[k] count
+    disjoint sets of the b**i low digit strings of x, so every slot of S is
+    at most b**i, and every slot of delta*S, b*S, delta*S + Q and of the new
+    P (a count after i+1 digits, so nonnegative: b*S - Q borrows nothing) is
+    at most b**(i+1). So w-bit slots with 2**w > b**end hold every count up
+    to digit `end`. Slots of b**L from the first digit on would do about
+    L**3 / 2 slot-bit operations (times log2 b) where the counts need about
+    L**3 / 3, so the walk goes in stretches: the first runs the digits of
+    about _STRETCH_BITS bits, each later one max(that, i // 4) digits, and
+    at the start of each the live slots are re-packed to the width its last
+    digit needs.
 
     Above r's digits a carry goes on with probability 1/b per digit of x
     (that digit is b-1), so x + r makes k carries with mass p[k] / b**L plus
@@ -137,14 +184,39 @@ def _carry_numerators(r: int, base: int, K: int) -> tuple[list[int], int]:
     """
     b = base
     digits = expand(r, b).digits
-    check_atom_cutoff(K, len(digits), b)
-    p, q = [1], [0]
-    for delta in digits:
-        p, q = (
-            [(b - delta) * f + (b - delta - 1) * g for f, g in zip(p, q)] + [0],
-            [0] + [delta * f + (delta + 1) * g for f, g in zip(p, q)],
-        )
-        del p[K + 1 :], q[K + 1 :]
+    L = len(digits)
+    check_atom_cutoff(K, L, b)
+    floor = max(1, int(_STRETCH_BITS / math.log2(b)))  # digits per stretch, at least
+    # glibc serves a block past its mmap threshold (128 KB at start) from
+    # fresh pages and raises the threshold only to the size of such a block
+    # once it is freed, so integers that grow by one slot per digit would
+    # each fault in fresh zeroed pages (a quarter of the wall time of a
+    # 2000-digit walk in base 10). Freeing one block four times the walk's
+    # largest integer first lifts the threshold past all of them.
+    bytes(min(4 * (min(L, K) + 2) * _slot_bits(b**L) // 8, _PRIMED_BYTES))
+    P, Q, w, i = 1, 0, 8, 0  # p = 1, q = 0 in one 8-bit slot (all of r = 0)
+    while i < L:
+        end = min(L, i + max(floor, i // 4))
+        w2 = _slot_bits(b**end)
+        if i:
+            n = min(i, K) + 1  # Q's live slots; P's are among them
+            P, Q = _repack(P, n, w, w2), _repack(Q, n, w, w2)
+        w = w2
+        if K < end:
+            mask = (1 << w * (K + 1)) - 1
+        for j in range(i, end):
+            delta = digits[j]
+            S = P + Q
+            if delta:
+                Q += delta * S
+            if delta != b - 1:
+                P = b * S - Q
+            Q <<= w
+            if j >= K:
+                Q &= mask
+        i = end
+    n = min(L, K) + 1
+    p, q = _unpack(P, n, w), _unpack(Q, n, w)
     T, s, bj = [], 0, 1  # bj = b**j
     for f, g in zip(p, q):
         s += g * bj
@@ -427,14 +499,19 @@ def check_variance_bounds(r: int, base: int) -> VarianceReport:
     )
 
 
+def _sqrt_below(var: Fraction) -> Fraction:
+    """The multiple of 2**-53 just below sqrt(var), var >= 0:
+    result <= sqrt(var) < result + 2**-53."""
+    n, d = var.numerator, var.denominator
+    return Fraction(isqrt(n * d << 106), d << 53)
+
+
 def std_dev(r: int, base: int) -> Fraction:
     """Square root of the exact variance, within 2**-53.
 
     Returned as a Fraction underestimate: result <= sqrt(Var) < result + 2**-53.
     """
-    var = variance_exact(r, base)
-    n, d = var.numerator, var.denominator
-    return Fraction(isqrt(n * d << 106), d << 53)
+    return _sqrt_below(variance_exact(r, base))
 
 
 # --- distribution cache -----------------------------------------------------
@@ -492,7 +569,7 @@ def save_cached_distribution(
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            fh.write(json.dumps(doc))  # the C encoder; json.dump streams in Python
         os.replace(tmp, path)  # atomic on POSIX
     except BaseException:
         if os.path.exists(tmp):

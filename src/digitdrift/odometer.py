@@ -13,9 +13,14 @@ import numpy as np
 
 from . import rng
 from .digits import check_base, digits_value, expand, int_digit_sum
-from .errors import Int64Overflow, PropagationCapExceeded
+from .errors import Int64Overflow, PropagationCapExceeded, TooManySamples
 
 DEFAULT_PROPAGATION_CAP = 4096
+# the most samples one batch may draw. At 10**6 samples the README's
+# `simulate` and `phi` commands peak 41 to 218 bytes per sample above the
+# interpreter's own memory (more for a wider r), so a batch at the bound
+# takes about 0.7 to 3.7 GB; a refused one allocates nothing
+MAX_SAMPLES = 2**24
 
 
 @dataclass
@@ -98,6 +103,8 @@ def sample_digit_matrix(
     x + r reaches them.
     """
     check_base(base)
+    if n_samples > MAX_SAMPLES:
+        raise TooManySamples(f"{n_samples} samples is past the bound of {MAX_SAMPLES}")
     L = max(expand(r, base).digit_count(), 1)
     _check_int64(base, L)
     keys = rng.sample_keys(seed, n_samples, first_index)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from digitdrift import mixing, odometer
 from digitdrift.cli import main, parse_r, pattern_family, UsageError
+from digitdrift.odometer import MAX_SAMPLES
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mixing.__file__)))
 HUGE_R = "1" + "0" * 4998 + "7"  # 5000 digits, past the int <-> str limit
@@ -447,6 +448,11 @@ def test_phi_lambda_too_small(capsys):
         ["verify", "1..3", "--checks", ","],
         ["blocks", "0", "--radix-input", "--base", "1"],
         ["clt", "--family", "1@1", "--base", "1", "--cache", "{cache}"],
+        # 2**62 samples: were the bound gone, numpy would refuse the 2**65-byte
+        # key array at once instead of starting the run
+        ["simulate", "7", "--samples", str(2**62), "--cache", "{cache}"],
+        ["phi", "10101010101010101010", "--radix-input", "--base", "2", "--k", "3",
+         "--samples", str(2**62)],
     ],
     ids=[
         "negative-tail-eps",
@@ -482,6 +488,8 @@ def test_phi_lambda_too_small(capsys):
         "verify-only-commas",
         "blocks-radix-input-base-1",
         "clt-family-base-1",
+        "simulate-samples-past-bound",
+        "phi-samples-past-bound",
     ],
 )
 def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
@@ -515,6 +523,8 @@ def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
     if int(base) < 2:
         # the base is at fault before r's digits or the family's pattern
         assert err == f"error: base must be an integer >= 2, got {base}\n"
+    if "--samples" in argv and int(argv[argv.index("--samples") + 1]) > MAX_SAMPLES:
+        assert err == f"error: {2**62} samples is past the bound of {MAX_SAMPLES}\n"
 
 
 def test_clt_refuses_repetition_counts_below_one_by_name(capsys, tmp_cache):

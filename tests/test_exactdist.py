@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitdrift import exactdist
 from digitdrift.digits import expand, int_digit_sum, reverse_expansion
 from digitdrift.errors import (
     CutoffTooLarge,
@@ -192,6 +193,32 @@ def reference_carry_numerators(r, base, K):
     return F, b ** (K + 1 + len(digits))
 
 
+def list_carry_numerators(r, base, K):
+    """The atom numerators over b**(K+1+L) by the least-significant-first
+    walk over p and q as coefficient lists, one update per coefficient, and
+    the same closed-form tail as the engine's packed walk."""
+    b = base
+    digits = expand(r, b).digits
+    p, q = [1], [0]
+    for delta in digits:
+        p, q = (
+            [(b - delta) * f + (b - delta - 1) * g for f, g in zip(p, q)] + [0],
+            [0] + [delta * f + (delta + 1) * g for f, g in zip(p, q)],
+        )
+        del p[K + 1 :], q[K + 1 :]
+    T, s, bj = [], 0, 1  # bj = b**j
+    for f, g in zip(p, q):
+        s += g * bj
+        bj *= b
+        T.append(bj * f + (b - 1) * s)
+    T.append((b - 1) * s)
+    nums, pw = [0] * (K + 1), 1  # pw = b**(K-k)
+    for k in range(K, -1, -1):
+        nums[k] = T[min(k, len(T) - 1)] * pw
+        pw *= b
+    return nums, b ** (K + 1 + len(digits))
+
+
 @given(
     st.integers(2, 40000),
     st.one_of(st.just(0), st.integers(0, 10**60)),
@@ -201,6 +228,45 @@ def test_carry_numerators_match_most_significant_first_recursion(base, r, offset
     # K below, at and above the digit count L
     K = max(0, expand(r, base).digit_count() + offset)
     assert _carry_numerators(r, base, K) == reference_carry_numerators(r, base, K)
+
+
+@given(
+    st.integers(2, 40000),
+    st.integers(0, 2**400),
+    st.integers(-40, 40),
+    st.integers(1, 24),
+)
+def test_packed_walk_matches_list_walk_across_repacks(base, r, offset, stretch_bits):
+    # stretches of a few bits re-pack the slots every few digits, so every
+    # width change meets live counts near their slot bound
+    K = max(0, expand(r, base).digit_count() + offset)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactdist, "_STRETCH_BITS", stretch_bits)
+        assert _carry_numerators(r, base, K) == list_carry_numerators(r, base, K)
+
+
+@pytest.mark.parametrize(
+    "r, base, K",
+    [
+        (0, 2, 0),
+        (0, 10, 5),
+        (10**40 + 7, 10, 12),  # K < L: the walk is cut at degree K
+        (2**200 - 1, 2, 150),  # every digit b-1, K < L
+        (123456789, 40000, 4),
+        (40000**30 - 1, 40000, 31),  # every digit b-1, past one re-pack
+    ],
+)
+def test_packed_walk_fixed_cases(r, base, K):
+    assert _carry_numerators(r, base, K) == list_carry_numerators(r, base, K)
+
+
+@pytest.mark.parametrize("base", [2, 10, 40000])
+def test_packed_walk_at_300_digits(base):
+    # past the first stretch, which ends at digit 256 in base 2, 77 in base 10
+    # and 16 in base 40000
+    r = random.Random(base).randrange(base**299, base**300)
+    K = 300 + 5
+    assert _carry_numerators(r, base, K) == list_carry_numerators(r, base, K)
 
 
 def test_far_atom_is_the_geometric_tail():

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from digitdrift.errors import DigitDriftError, Int64Overflow, PropagationCapExceeded
+from digitdrift.errors import (
+    DigitDriftError,
+    Int64Overflow,
+    PropagationCapExceeded,
+    TooManySamples,
+)
 from digitdrift.odometer import (
+    MAX_SAMPLES,
     DriftSample,
     LazyBadicSample,
     carry_counts,
@@ -181,6 +187,18 @@ def test_carry_counts_refuses_int64_overflow():
 def test_sample_digit_matrix_refuses_bases_past_int64(r, base):
     with pytest.raises(Int64Overflow) as info:
         sample_digit_matrix(r, base, 10, 0)
+    assert isinstance(info.value, DigitDriftError)
+
+
+def test_sample_digit_matrix_refuses_samples_past_the_bound(monkeypatch):
+    assert MAX_SAMPLES >= 10 * 10**6  # ten times what CI and criterion 8 draw
+
+    def no_keys(*args):
+        raise AssertionError("keys allocated for a refused batch")
+
+    monkeypatch.setattr(rng, "sample_keys", no_keys)
+    with pytest.raises(TooManySamples) as info:
+        sample_digit_matrix(7, 10, MAX_SAMPLES + 1, 0)
     assert isinstance(info.value, DigitDriftError)
 
 

@@ -53,8 +53,9 @@ class LevelTooLarge(DigitDriftError):
 
 
 class TooManySamples(DigitDriftError):
-    """A sampler batch past odometer.MAX_SAMPLES samples, refused before
-    any per-sample array is allocated."""
+    """A sampler batch past odometer.MAX_SAMPLES samples or past
+    odometer.MAX_CELLS digit cells, refused before any per-sample array is
+    allocated."""
 
 
 class Int64Overflow(DigitDriftError, OverflowError):

@@ -58,7 +58,8 @@ class DriftDistribution:
     tail_mass: Fraction
 
     def __post_init__(self):
-        if any(m < 0 for m in self.atoms) or self.tail_mass < 0:
+        # a Fraction's denominator is positive, so its sign is its numerator's
+        if any(m.numerator < 0 for m in self.atoms) or self.tail_mass.numerator < 0:
             raise AssertionError("negative mass: distribution recursion is broken")
 
     def position(self, k: int) -> int:
@@ -90,8 +91,16 @@ class DriftDistribution:
             pos, mass = np.array([0.0]), np.array([1.0])
         else:
             sigma = math.sqrt(variance_exact(self.r, self.base))
-            pos = np.array([d / sigma for d, _ in self.items()], dtype=np.float64)[::-1]
-            mass = np.array([float(m) for _, m in self.items()], dtype=np.float64)[::-1]
+            # bit for bit the per-atom d / sigma and float(m): each int d is
+            # rounded to a double before the division either way (a range of
+            # Python ints, so no int64 overflow for wide bases), and
+            # float(Fraction) is the correctly rounded numerator / denominator.
+            # Built k ascending and read reversed: the negative stride keeps
+            # matmul in mollifier_chain_check on its pinned summation order
+            n = len(self.atoms)
+            ds = range(self.s_r, self.position(n), 1 - self.base)
+            pos = (np.fromiter(ds, float, n) / sigma)[::-1]
+            mass = np.array([m.numerator / m.denominator for m in self.atoms])[::-1]
         pos.flags.writeable = False
         mass.flags.writeable = False
         return pos, mass

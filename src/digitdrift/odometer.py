@@ -21,6 +21,12 @@ DEFAULT_PROPAGATION_CAP = 4096
 # interpreter's own memory (more for a wider r), so a batch at the bound
 # takes about 0.7 to 3.7 GB; a refused one allocates nothing
 MAX_SAMPLES = 2**24
+# the most digit cells (samples times r's digit count) one batch may draw.
+# A cell peaks at 2.0 to 3.8 bytes for `simulate` and 3.5 to 11.5 with
+# `--process` (r of 32 to 1000 digits in bases 2, 10 and 200, at 10**5 and
+# 2*10**5 samples), so a batch at the bound takes up to about 3 GB; criterion
+# 8 draws 10**6 samples of a 32-bit r, 3.2*10**7 cells
+MAX_CELLS = 2**28
 
 
 @dataclass
@@ -106,6 +112,10 @@ def sample_digit_matrix(
     if n_samples > MAX_SAMPLES:
         raise TooManySamples(f"{n_samples} samples is past the bound of {MAX_SAMPLES}")
     L = max(expand(r, base).digit_count(), 1)
+    if n_samples * L > MAX_CELLS:
+        raise TooManySamples(
+            f"{n_samples} samples of {L} digits is past the bound of {MAX_CELLS} digit cells"
+        )
     _check_int64(base, L)
     keys = rng.sample_keys(seed, n_samples, first_index)
     cols = [rng.digit_block(keys, base, range(L)).T]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from digitdrift import mixing, odometer
 from digitdrift.cli import main, parse_r, pattern_family, UsageError
-from digitdrift.odometer import MAX_SAMPLES
+from digitdrift.odometer import MAX_CELLS, MAX_SAMPLES
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mixing.__file__)))
 HUGE_R = "1" + "0" * 4998 + "7"  # 5000 digits, past the int <-> str limit
@@ -453,6 +453,11 @@ def test_phi_lambda_too_small(capsys):
         ["simulate", "7", "--samples", str(2**62), "--cache", "{cache}"],
         ["phi", "10101010101010101010", "--radix-input", "--base", "2", "--k", "3",
          "--samples", str(2**62)],
+        # under MAX_SAMPLES, but past MAX_CELLS for a 1000-digit r
+        ["simulate", "1" + "0" * 999, "--samples", str(MAX_CELLS // 1000 + 1),
+         "--cache", "{cache}"],
+        ["phi", "10" * 500, "--radix-input", "--base", "2", "--k", "3",
+         "--samples", str(MAX_CELLS // 1000 + 1)],
     ],
     ids=[
         "negative-tail-eps",
@@ -490,6 +495,8 @@ def test_phi_lambda_too_small(capsys):
         "clt-family-base-1",
         "simulate-samples-past-bound",
         "phi-samples-past-bound",
+        "simulate-cells-past-bound",
+        "phi-cells-past-bound",
     ],
 )
 def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
@@ -523,8 +530,12 @@ def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
     if int(base) < 2:
         # the base is at fault before r's digits or the family's pattern
         assert err == f"error: base must be an integer >= 2, got {base}\n"
-    if "--samples" in argv and int(argv[argv.index("--samples") + 1]) > MAX_SAMPLES:
+    n = int(argv[argv.index("--samples") + 1]) if "--samples" in argv else 0
+    if n > MAX_SAMPLES:
         assert err == f"error: {2**62} samples is past the bound of {MAX_SAMPLES}\n"
+    elif n * 1000 > MAX_CELLS:
+        bound = f"the bound of {MAX_CELLS} digit cells"
+        assert err == f"error: {n} samples of 1000 digits is past {bound}\n"
 
 
 def test_clt_refuses_repetition_counts_below_one_by_name(capsys, tmp_cache):

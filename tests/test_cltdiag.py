@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from digitdrift.cltdiag import (
     CHAIN_GRID_POINTS,
     MOLLIFIER_D3_SUP,
     _gaussian_mollifier_expectations,
+    _normal_cdf_array,
     gaussian_mollifier_expectation,
     ks_distance,
     local_limit_gap,
@@ -32,6 +33,7 @@ from digitdrift.errors import InvalidBase, InvalidEpsilon, TailTooHeavy
 from digitdrift.exactdist import (
     cache_key,
     distribution,
+    load_cached_distribution,
     save_cached_distribution,
     tail_abs_moment_bound,
     variance_exact,
@@ -62,6 +64,25 @@ def test_normal_cdf_basics():
 @given(st.floats(-8, 8))
 def test_normal_cdf_symmetry(t):
     assert abs(normal_cdf(t) + normal_cdf(-t) - 1.0) < 1e-12
+
+
+# signed zeros, the smallest subnormals, where erfc under- or overflows
+# (|t| > 40) and far out
+CDF_EDGES = [0.0, -0.0, 5e-324, -5e-324, 38.5, -38.5, 41.0, -41.0, 1e300, -1e300]
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(CDF_EDGES)), max_size=40))
+@example(CDF_EDGES)
+def test_normal_cdf_array_is_the_scalar_cdf_bit_for_bit(ts):
+    got = _normal_cdf_array(np.array(ts, dtype=np.float64))
+    assert [v.hex() for v in got.tolist()] == [normal_cdf(t).hex() for t in ts]
+
+
+@given(st.floats(-0.5, 1.5))
+def test_mollifier_profile_rounds_python_and_numpy_scalars_alike(x):
+    # smooth_gap's per-atom loop runs over Python floats, the pinned values
+    # were made with np.float64 scalars
+    assert mollifier_profile(x).hex() == float(mollifier_profile(np.float64(x))).hex()
 
 
 def test_mollifier_profile_boundaries():
@@ -354,6 +375,30 @@ def test_normalized_support_is_built_once_and_read_only():
         for arr in (pos, mass):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+
+# the families the clt-warm benchmark reads: member = pattern repeated m times
+CLT_WARM_FAMILIES = {
+    2: ("10", (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)),
+    10: ("19", (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)),
+}
+
+
+def test_normalized_support_is_the_per_atom_float_view(tmp_cache):
+    laws = []
+    for base, (pattern, reps) in CLT_WARM_FAMILIES.items():
+        for m in reps:
+            r = int(pattern * m, base)
+            K = len(distribution(r, base, cache_dir=tmp_cache).atoms) - 1  # saved
+            laws.append(load_cached_distribution(base, r, K, tmp_cache))
+    # positions past int64, and a base whose step is not 1 or 9
+    laws += [distribution(5, 2**70), distribution(2**64 + 3, 2**40), distribution(7, 3)]
+    for d in laws:
+        sigma = math.sqrt(variance_exact(d.r, d.base))
+        items = list(d.items())[::-1]
+        pos, mass = normalized_support(d)
+        assert [v.hex() for v in pos.tolist()] == [(x / sigma).hex() for x, _ in items], d.r
+        assert [v.hex() for v in mass.tolist()] == [float(m).hex() for _, m in items], d.r
 
 
 def test_normalized_support_cache_leaves_law_identity_alone(tmp_cache, tmp_path):

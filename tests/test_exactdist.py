@@ -55,6 +55,17 @@ def test_unit_atom_mass_values():
             assert unit_atom_mass(k, b) == Fraction(1, b**k) - Fraction(1, b ** (k + 1))
 
 
+def test_negative_mass_is_refused():
+    law = distribution(118, 2)
+    atoms = list(law.atoms)
+    atoms[1] = -atoms[1]
+    with pytest.raises(AssertionError):
+        replace(law, atoms=tuple(atoms))
+    with pytest.raises(AssertionError):
+        replace(law, tail_mass=Fraction(-1, 10**40))
+    assert replace(law, tail_mass=Fraction(0)).tail_mass == 0  # zero is a mass
+
+
 def test_atom_mass_base_cases():
     assert atom_mass(0, 2, 0) == 1
     assert atom_mass(0, 2, 1) == 0

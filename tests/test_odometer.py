@@ -9,6 +9,7 @@ from digitdrift.errors import (
     TooManySamples,
 )
 from digitdrift.odometer import (
+    MAX_CELLS,
     MAX_SAMPLES,
     DriftSample,
     LazyBadicSample,
@@ -200,6 +201,30 @@ def test_sample_digit_matrix_refuses_samples_past_the_bound(monkeypatch):
     with pytest.raises(TooManySamples) as info:
         sample_digit_matrix(7, 10, MAX_SAMPLES + 1, 0)
     assert isinstance(info.value, DigitDriftError)
+
+
+def test_sample_digit_matrix_refuses_cells_past_the_bound(monkeypatch):
+    # criterion 8 draws 10**6 samples of a 32-bit r
+    assert MAX_CELLS >= 8 * 32 * 10**6
+
+    class KeysReached(Exception):
+        pass
+
+    def no_keys(*args):
+        raise KeysReached
+
+    monkeypatch.setattr(rng, "sample_keys", no_keys)
+    r = 10**999  # 1000 digits
+    n = MAX_CELLS // 1000
+    assert n + 1 <= MAX_SAMPLES  # the cell bound, not the sample bound, refuses
+    with pytest.raises(KeysReached):
+        sample_digit_matrix(r, 10, n, 0)  # at the bound: drawn
+    with pytest.raises(TooManySamples) as info:
+        sample_digit_matrix(r, 10, n + 1, 0)
+    assert isinstance(info.value, DigitDriftError)
+    assert str(info.value) == (
+        f"{n + 1} samples of 1000 digits is past the bound of {MAX_CELLS} digit cells"
+    )
 
 
 def test_digit_marginals_chi_square():

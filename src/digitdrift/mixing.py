@@ -55,7 +55,8 @@ def sample_process(sample, r: int) -> MixingProcessSample:
 
 def process_matrix(r: int, base: int, n_samples: int, seed: int) -> np.ndarray:
     """Per-block drift values for a batch: shape (n_samples, lambda), int16,
-    or int64 when a value does not fit in int16 (large bases).
+    or int64 when a value does not fit in int16 (large bases), with
+    contiguous columns (the transpose of a block-major array).
 
     Row sums equal the plain drift draws for the same (seed, index).
     """
@@ -63,7 +64,8 @@ def process_matrix(r: int, base: int, n_samples: int, seed: int) -> np.ndarray:
 
 
 def process_from_digits(X: np.ndarray, r: int, base: int) -> np.ndarray:
-    """process_matrix values of r on each row of a sample_digit_matrix(r, ...)."""
+    """process_matrix values of r on each row of a sample_digit_matrix(r, ...),
+    in the same memory order: a view of the block-major array."""
     prefixes = block_prefix_integers(expand(r, base))
     # X_i = s(t_i) - s(t_(i-1)) - (b-1) * (carries of x + t_i less those of
     # x + t_(i-1)), with t_0 = 0 carrying nowhere. The M columns hold every
@@ -73,9 +75,8 @@ def process_from_digits(X: np.ndarray, r: int, base: int) -> np.ndarray:
         V[i] -= V[i - 1]
     V *= 1 - base
     V += np.diff([int_digit_sum(t, base) for t in prefixes])[:, None]
-    V = V.T
     wide = V.size and (V.min() < -(2**15) or V.max() >= 2**15)
-    return np.ascontiguousarray(V, dtype=np.int64 if wide else np.int16)
+    return V.astype(np.int64 if wide else np.int16).T
 
 
 def block_laws(r: int, base: int) -> list[DriftDistribution]:
@@ -186,28 +187,22 @@ class PhiEstimate:
         return self.estimate - self.ci > self.bound
 
 
-def _side_events(X: np.ndarray, cols: list[int], cuts) -> np.ndarray:
-    """Boolean event matrix for one side of the gap.
+def _side_events(rows: np.ndarray, medians: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """Boolean event rows for one side of the gap, one sample per column.
 
-    Per index c, with cuts[c] = (exact median, exact mode) of its law: four
-    one-coordinate events (>= median, == mode, <= -1, == 0); plus all 16
-    combinations on the (first, last) index pair when the side has at least
-    two indices.
+    rows holds the side's blocks, one per row, and medians[i], modes[i] are
+    the exact median and mode of block i's law. Four one-block events per
+    block (>= median, == mode, <= -1, == 0), block-major; then, when the
+    side has at least two blocks, the 16 intersections of the first and
+    last block's events, the first block's event major.
     """
-    preds = []
-    per_col = {}
-    for c in cols:
-        col = X[:, c]
-        median, mode = cuts[c]
-        four = [col >= median, col == mode, col <= -1, col == 0]
-        per_col[c] = four
-        preds += four
-    if len(cols) >= 2:
-        i, j = cols[0], cols[-1]
-        for evi in per_col[i]:
-            for evj in per_col[j]:
-                preds.append(evi & evj)
-    return np.column_stack(preds)
+    four = np.stack(
+        [rows >= medians[:, None], rows == modes[:, None], rows <= -1, rows == 0], axis=1
+    )
+    events = [four.reshape(-1, rows.shape[1])]
+    if len(rows) >= 2:
+        events.append((four[0][:, None] & four[-1]).reshape(16, -1))
+    return np.concatenate(events)
 
 
 def estimate_phi(r: int, base: int, k: int, p: int, X: np.ndarray) -> PhiEstimate:
@@ -234,26 +229,25 @@ def estimate_phi(r: int, base: int, k: int, p: int, X: np.ndarray) -> PhiEstimat
     # computed once
     distinct = {id(law): law for law in laws}
     cut = {key: (exact_median(law), exact_mode(law)) for key, law in distinct.items()}
-    cuts = [cut[id(law)] for law in laws]
-    a_cols = list(range(p))
-    b_cols = list(range(p + k - 1, lam))
-    A = _side_events(X, a_cols, cuts)
-    B = _side_events(X, b_cols, cuts)
-    count_a = A.sum(axis=0)
+    medians, modes = np.array([cut[id(law)] for law in laws]).T
+    Xt, gap = X.T, p + k - 1
+    A = _side_events(Xt[:p], medians[:p], modes[:p])
+    B = _side_events(Xt[gap:], medians[gap:], modes[gap:])
+    count_a = np.count_nonzero(A, axis=1)
     keep = count_a >= MIN_EVENT_HITS
     if not keep.any():
         raise InsufficientSamples(
             f"every conditioning event has fewer than {MIN_EVENT_HITS} hits"
         )
-    A = A[:, keep]
+    A = A[keep]
     count_a = count_a[keep]
-    count_b = B.sum(axis=0)
-    # pair counts summed over row slices: each partial sum is an integer
+    count_b = np.count_nonzero(B, axis=1)
+    # pair counts summed over sample slices: each partial sum is an integer
     # below 2**53, so the float64 total is exact
-    count_ab = np.zeros((A.shape[1], B.shape[1]))
+    count_ab = np.zeros((len(A), len(B)))
     for lo in range(0, n_samples, _PAIR_ROWS):
         hi = lo + _PAIR_ROWS
-        count_ab += A[lo:hi].T.astype(np.float64) @ B[lo:hi].astype(np.float64)
+        count_ab += A[:, lo:hi].astype(np.float64) @ B[:, lo:hi].T.astype(np.float64)
     p_cond = count_ab / count_a[:, None]
     p_b = count_b / n_samples
     diffs = np.abs(p_cond - p_b[None, :])
@@ -262,6 +256,4 @@ def estimate_phi(r: int, base: int, k: int, p: int, X: np.ndarray) -> PhiEstimat
     ci = wilson_radius(
         int(round(count_ab[ai, bi])), int(count_a[ai])
     ) + wilson_radius(int(count_b[bi]), n_samples)
-    return PhiEstimate(
-        r, base, k, p, estimate, ci, bound, n_samples, A.shape[1], B.shape[1]
-    )
+    return PhiEstimate(r, base, k, p, estimate, ci, bound, n_samples, len(A), len(B))

@@ -125,11 +125,14 @@ def _carry_counts(r: int, base: int, m: int) -> np.ndarray:
     return counts
 
 
-def _enclosure_numerators(counts: np.ndarray, r: int, base: int, d: int) -> tuple[int, int]:
+def _enclosure_numerators(
+    counts: np.ndarray, r: int, s_r: int, base: int, d: int
+) -> tuple[int, int]:
     """(c, c + r) with c the count at drift d, 0 when d is off the lattice
-    of r or past the counts: over the tower total they enclose the atom mass
-    at d, and the r uncounted top levels account for the width."""
-    q, rem = divmod(int_digit_sum(r, base) - d, base - 1)
+    of r (digit sum s_r) or past the counts: over the tower total they
+    enclose the atom mass at d, and the r uncounted top levels account for
+    the width."""
+    q, rem = divmod(s_r - d, base - 1)
     c = int(counts[q]) if rem == 0 and 0 <= q < len(counts) else 0
     return c, c + r
 
@@ -200,7 +203,7 @@ def tower_enclosure(
     """Exact interval [c/b^(l+1), (c+r)/b^(l+1)] guaranteed to contain the
     atom mass at d."""
     counts, _, total = tower_counts(r, base, level)
-    lo, hi = _enclosure_numerators(counts, r, base, d)
+    lo, hi = _enclosure_numerators(counts, r, int_digit_sum(r, base), base, d)
     return Fraction(lo, total), Fraction(hi, total)
 
 
@@ -221,12 +224,12 @@ def check_enclosures(dist: DriftDistribution, level: int) -> list[EnclosureViola
     lo <= mass <= hi cross-multiplied over the tower total."""
     r, base = dist.r, dist.base
     counts, _, total = tower_counts(r, base, level)
-    violations, min_mass = [], Fraction(1, 10**9)
+    violations, s_r = [], int_digit_sum(r, base)
     for k, mass in enumerate(dist.atoms):
-        if mass <= min_mass:
+        if mass.numerator * 10**9 <= mass.denominator:
             continue
         d = dist.position(k)
-        lo, hi = _enclosure_numerators(counts, r, base, d)
+        lo, hi = _enclosure_numerators(counts, r, s_r, base, d)
         if not lo * mass.denominator <= mass.numerator * total <= hi * mass.denominator:
             lo, hi = Fraction(lo, total), Fraction(hi, total)
             violations.append(EnclosureViolation(r, base, level, k, d, mass, lo, hi))

@@ -195,6 +195,29 @@ def test_estimate_phi_slices_give_the_one_pass_counts(monkeypatch):
     # ragged slices, the last one short
     monkeypatch.setattr(mixing, "_PAIR_ROWS", 777)
     assert [estimate_phi(r, 2, k, p, X) for k in (3, 5) for p in (1, 2)] == whole
+    # the memory order of the input does not matter
+    for Y in (np.ascontiguousarray(X), np.asfortranarray(X)):
+        assert [estimate_phi(r, 2, k, p, Y) for k in (3, 5) for p in (1, 2)] == whole
+
+
+def test_side_events_match_per_block_loop():
+    # reference: one event column per block and comparison, then the 16
+    # (first, last) intersections, first block's event major
+    r = pattern_10(8)
+    X = process_matrix(r, 2, 3000, seed=2)
+    laws = block_laws(r, 2)
+    medians = np.array([exact_median(law) for law in laws])
+    modes = np.array([exact_mode(law) for law in laws])
+    for cols in ([0], [0, 1, 2], list(range(3, 8))):
+        per_block = [
+            [X[:, c] >= medians[c], X[:, c] == modes[c], X[:, c] <= -1, X[:, c] == 0]
+            for c in cols
+        ]
+        want = [ev for four in per_block for ev in four]
+        if len(cols) >= 2:
+            want += [a & b for a in per_block[0] for b in per_block[-1]]
+        got = mixing._side_events(X.T[cols[0] : cols[-1] + 1], medians[cols], modes[cols])
+        assert np.array_equal(got, np.array(want))
 
 
 def test_estimate_phi_memory_is_events_plus_slices(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from digitdrift import oracle
 from digitdrift.digits import expand, int_digit_sum
 from digitdrift.errors import LevelTooLarge, LevelTooSmall, TableTooLarge
-from digitdrift.exactdist import atom_mass, distribution, variance_exact
+from digitdrift.exactdist import DriftDistribution, atom_mass, distribution, variance_exact
 from digitdrift.oracle import (
     CesaroResult,
     EnclosureViolation,
@@ -180,6 +180,15 @@ def test_check_enclosures_reports_atoms_moved_out():
         ),
     ]
     assert check_enclosures(dist, 6) == []  # atom 1 = 1/4 sits on its lower end
+
+
+def test_check_enclosures_skips_atoms_up_to_one_in_10_to_the_9():
+    # a single atom at d = 1, far below its enclosure [1023, 1024]/2048 at
+    # level 10: exactly 10^-9 is skipped, anything above it is checked
+    cut = Fraction(1, 10**9)
+    for m, violations in ((cut, 0), (cut + Fraction(1, 10**30), 1)):
+        law = DriftDistribution(2, 1, 1, (m,), 1 - m)
+        assert len(check_enclosures(law, 10)) == violations
 
 
 def record_table_limits(monkeypatch):

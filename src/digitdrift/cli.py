@@ -90,12 +90,10 @@ def cmd_dist(args) -> int:
         # refuse one the engine would refuse before 10**E is built
         per_atom = math.ceil(1000 * math.log10(args.base))
         exactdist.check_atom_cutoff(args.tail_eps_exp * 1000 // per_atom - 1, 0, args.base)
-        cutoff, tail_eps = None, Fraction(1, 10**args.tail_eps_exp)
+        cutoff = exactdist.default_atom_cutoff(r, args.base, Fraction(1, 10**args.tail_eps_exp))
     else:
-        cutoff, tail_eps = args.atoms - 1, exactdist.DEFAULT_TAIL_EPS
-    dist = exactdist.distribution(
-        r, args.base, atoms=cutoff, tail_eps=tail_eps, cache_dir=args.cache
-    )
+        cutoff = args.atoms - 1
+    dist = exactdist.distribution(r, args.base, atoms=cutoff, cache_dir=args.cache)
     var = exactdist.variance_exact(r, args.base)
     sigma = exactdist._sqrt_below(var)  # std_dev(r, base), without a second variance
     try:
@@ -172,7 +170,7 @@ def cmd_blocks(args) -> int:
 # --- verify ------------------------------------------------------------------
 
 
-def _verify_r_values(args) -> list[int]:
+def _verify_r_values(args) -> list[int] | range:
     if args.random is not None:
         if args.digits is None:
             raise UsageError("--random needs --digits")
@@ -199,7 +197,7 @@ def _verify_r_values(args) -> list[int]:
         raise UsageError("empty range")
     if lo < 1:
         raise UsageError("r = 0 has no blocks; ranges start at 1")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)  # lazy: 1..10**9 holds no list of 10**9 ints
 
 
 def _check_recursion(r: int, base: int, seed: int) -> list[str]:
@@ -296,14 +294,12 @@ def cmd_simulate(args) -> int:
     r = parse_r(args.r, args.base, args.radix_input)
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
-    if args.cap < 0:
-        raise UsageError("--cap must be >= 0")
     if args.process and r < 1:
         raise UsageError("--process needs r >= 1")
     n = args.samples
     # one digit matrix serves the drift draws and the per-block process; it
     # is drawn first because it validates the base before anything is cached
-    digits = odometer.sample_digit_matrix(r, args.base, n, args.seed, cap=args.cap)
+    digits = odometer.sample_digit_matrix(r, args.base, n, args.seed)
     dist = exactdist.distribution(r, args.base, cache_dir=args.cache)
     delta, carries = odometer.drift_from_digits(digits, r, args.base)
     ident_ok = bool(np.all(delta == dist.position(carries)))
@@ -522,12 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--process", action="store_true", help="also sample per-block values")
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=odometer.DEFAULT_PROPAGATION_CAP,
-        help="carry propagation depth cap past the digits of r",
-    )
     p.add_argument("--cache", default=None)
     p.set_defaults(func=cmd_simulate)
 

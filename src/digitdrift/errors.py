@@ -30,8 +30,12 @@ class TailTooHeavy(DigitDriftError):
     """Distribution tail mass too large for the requested diagnostic."""
 
 
+class CacheUnwritable(DigitDriftError):
+    """The cache directory cannot be made or written into."""
+
+
 class PropagationCapExceeded(DigitDriftError):
-    """Carry propagation ran past the configured depth cap."""
+    """Carry propagation ran past the depth cap."""
 
 
 class InsufficientSamples(DigitDriftError):

@@ -22,6 +22,7 @@ import numpy as np
 
 from .digits import check_base, expand, int_digit_sum, rho_lambda
 from .errors import (
+    CacheUnwritable,
     CutoffTooLarge,
     NotSingleBlock,
     TailBoundUnavailable,
@@ -276,15 +277,11 @@ def default_atom_cutoff(r: int, base: int, tail_eps: Fraction) -> int:
 
 
 def distribution(
-    r: int,
-    base: int,
-    atoms: int | None = None,
-    tail_eps: Fraction = DEFAULT_TAIL_EPS,
-    cache_dir: str | None = None,
+    r: int, base: int, atoms: int | None = None, cache_dir: str | None = None
 ) -> DriftDistribution:
     """Exact atoms 0..K of the drift law of r, with the exact tail mass.
 
-    K is `atoms` when given, otherwise the default cutoff for `tail_eps`.
+    K is `atoms` when given, otherwise the default cutoff for DEFAULT_TAIL_EPS.
     With cache_dir set, the carry numerators are read from / written to
     the JSON cache.
     """
@@ -296,7 +293,7 @@ def distribution(
         if K < 0:
             raise ValueError("atom count must be nonnegative")
     else:
-        K = default_atom_cutoff(r, base, tail_eps)
+        K = default_atom_cutoff(r, base, DEFAULT_TAIL_EPS)
     if cache_dir is not None:
         cached = load_cached_distribution(base, r, K, cache_dir)
         if cached is not None:
@@ -544,16 +541,16 @@ def load_cached_distribution(
     numerators are negative or do not sum to the denominator, is a miss.
     """
     path = os.path.join(cache_dir, cache_key(base, r, K))
-    if not os.path.exists(path):
-        return None
+    if not os.path.isfile(path):
+        return None  # nothing, or a directory, at the key path
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         key = (doc["version"], doc["base"], int(doc["r"], 16))
         nums = [int(n, 16) for n in doc["nums"]]
         tail = int(doc["tail"], 16)
-    except (ValueError, KeyError, TypeError):
-        return None  # truncated, unparseable or not a v2 document; recompute and overwrite
+    except (ValueError, KeyError, TypeError, RecursionError):
+        return None  # truncated, unparseable, nested too deep or not v2: recompute
     if key != (CACHE_VERSION, base, r) or len(nums) != K + 1:
         return None  # another version, a hash collision or a stale file
     den = base ** (K + 1 + expand(r, base).digit_count())
@@ -565,7 +562,10 @@ def load_cached_distribution(
 def save_cached_distribution(
     base: int, r: int, nums: list[int], den: int, cache_dir: str
 ) -> str:
-    """Write the carry numerators of r over den; returns the file path."""
+    """Write the carry numerators of r over den; returns the file path.
+
+    A directory at that path is left as it is, so its key stays a miss; a
+    cache_dir that cannot be made or written into raises CacheUnwritable."""
     doc = {
         "version": CACHE_VERSION,
         "base": base,
@@ -573,9 +573,16 @@ def save_cached_distribution(
         "nums": [hex(n) for n in nums],
         "tail": hex(den - sum(nums)),
     }
-    os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, cache_key(base, r, len(nums) - 1))
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    if os.path.isdir(path):
+        return path
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    except OSError as exc:
+        raise CacheUnwritable(
+            f"cannot use {cache_dir!r} as the cache directory: {exc.strerror}"
+        ) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc))  # the C encoder; json.dump streams in Python

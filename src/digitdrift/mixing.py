@@ -15,7 +15,7 @@ from typing import ClassVar
 import numpy as np
 
 from .digits import BlockKind, block_prefix_integers, check_base, decompose_blocks, expand
-from .digits import int_digit_sum, rho_lambda
+from .digits import int_digit_sum
 from .errors import InsufficientSamples
 from .exactdist import DriftDistribution, distribution
 from .odometer import carry_counts, sample_digit_matrix, sample_drift
@@ -216,7 +216,8 @@ def estimate_phi(r: int, base: int, k: int, p: int, X: np.ndarray) -> PhiEstimat
     check_base(base)
     if k < 1 or p < 1:
         raise ValueError("k and p must be >= 1")
-    _, lam = rho_lambda(r, base)
+    laws = block_laws(r, base)
+    lam = len(laws)
     if X.ndim != 2 or X.shape[1] != lam:
         raise ValueError(f"X has shape {X.shape}, not (n, lambda(r) = {lam})")
     n_samples = X.shape[0]
@@ -224,7 +225,6 @@ def estimate_phi(r: int, base: int, k: int, p: int, X: np.ndarray) -> PhiEstimat
     if p + k > lam:
         # no blocks left beyond the gap: trivial sigma-algebra
         return PhiEstimate(r, base, k, p, 0.0, 0.0, bound, n_samples, 0, 0)
-    laws = block_laws(r, base)
     # block_laws hands out one object per distinct law: its thresholds are
     # computed once
     distinct = {id(law): law for law in laws}

@@ -15,7 +15,9 @@ from . import rng
 from .digits import check_base, digits_value, expand, int_digit_sum
 from .errors import Int64Overflow, PropagationCapExceeded, TooManySamples
 
-DEFAULT_PROPAGATION_CAP = 4096
+# digits a carry may run past r; a healthy digit source gets that far with
+# probability at most b**-4096. Read at call time, not bound as a default
+PROPAGATION_CAP = 4096
 # the most samples one batch may draw. At 10**6 samples the README's
 # `simulate` and `phi` commands peak 41 to 218 bytes per sample above the
 # interpreter's own memory (more for a wider r), so a batch at the bound
@@ -60,7 +62,7 @@ class DriftSample:
     digits_consumed: int
 
 
-def sample_drift(sample, r: int, cap: int = DEFAULT_PROPAGATION_CAP) -> DriftSample:
+def sample_drift(sample, r: int) -> DriftSample:
     """Drift of the sampled digit string under addition of r.
 
     Realizes digits until the carry propagation of x + r dies, then reads
@@ -70,14 +72,13 @@ def sample_drift(sample, r: int, cap: int = DEFAULT_PROPAGATION_CAP) -> DriftSam
         raise ValueError("r must be nonnegative")
     b = sample.base
     L = expand(r, b).digit_count()
-    limit = L + cap
     m = L
     x = sample.prefix_value(L)
     block = b**L
     while x + r >= block:
-        if m >= limit:
+        if m >= L + PROPAGATION_CAP:
             raise PropagationCapExceeded(
-                f"carry propagation exceeded {cap} digits past r; "
+                f"carry propagation exceeded {PROPAGATION_CAP} digits past r; "
                 "astronomically unlikely under a healthy digit source"
             )
         x += sample.digit(m) * block
@@ -93,12 +94,7 @@ def sample_drift(sample, r: int, cap: int = DEFAULT_PROPAGATION_CAP) -> DriftSam
 
 
 def sample_digit_matrix(
-    r: int,
-    base: int,
-    n_samples: int,
-    seed: int,
-    first_index: int = 0,
-    cap: int = DEFAULT_PROPAGATION_CAP,
+    r: int, base: int, n_samples: int, seed: int, first_index: int = 0
 ) -> np.ndarray:
     """Digit prefixes wide enough that x + r never carries out, as an
     (n_samples, M) matrix with contiguous columns (the transpose of a
@@ -122,8 +118,8 @@ def sample_digit_matrix(
     _, pending = carry_counts(cols[0], (r,), base)
     j = L
     while pending.any():
-        if j >= L + cap:
-            raise PropagationCapExceeded(f"batch propagation exceeded cap {cap}")
+        if j >= L + PROPAGATION_CAP:
+            raise PropagationCapExceeded(f"batch propagation exceeded cap {PROPAGATION_CAP}")
         cols.append(rng.digit_block(keys, base, [j]).T)
         pending &= cols[-1][0] == base - 1
         j += 1

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,14 +6,16 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from digitdrift import mixing, odometer
-from digitdrift.cli import main, parse_r, pattern_family, UsageError
+from digitdrift.cli import _verify_r_values, main, parse_r, pattern_family, UsageError
 from digitdrift.odometer import MAX_CELLS, MAX_SAMPLES
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mixing.__file__)))
@@ -162,6 +165,19 @@ def test_dist_refuses_absurd_cutoff_at_once(flags, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+DIST_STDOUT = json.loads(
+    (Path(__file__).parent / "data" / "dist_tail_eps_stdout.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command", sorted(DIST_STDOUT))
+def test_dist_tail_eps_stdout_is_pinned(capsys, tmp_path, command):
+    # stdout recorded when distribution still took tail_eps: a cutoff from
+    # --tail-eps, and --atoms beside an ignored --tail-eps
+    code, out, err = run_cli(capsys, *command.split(), "--cache", str(tmp_path))
+    assert (code, out, err) == (0, DIST_STDOUT[command], "")
+
+
 def test_dist_bad_base(capsys):
     code, _, err = run_cli(capsys, "dist", "5", "--base", "1")
     assert code == 2
@@ -174,6 +190,20 @@ def test_blocks(capsys):
     assert "0, 5000000, 5900000, 5900990, 5900991" in out
     code, _, _ = run_cli(capsys, "blocks", "0", "--base", "10")
     assert code == 2
+
+
+def test_verify_range_is_lazy():
+    # a list of 10**9 ints would take about 38 GB before the first check
+    args = argparse.Namespace(random=None, range="1..1000000000")
+    tracemalloc.start()
+    try:
+        r_values = _verify_r_values(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
+    assert len(r_values) == 10**9
+    assert (r_values[0], r_values[-1]) == (1, 10**9)
 
 
 def test_verify_bounds_small(capsys):
@@ -418,10 +448,7 @@ def test_phi_lambda_too_small(capsys):
          "--samples", "10"],
         ["clt", "--family", "10@2,4", "--base", "2", "--out", "{missing}/x.csv",
          "--cache", "{cache}"],
-        ["simulate", "0", "--cap", "-1", "--cache", "{cache}"],
         ["simulate", "0", "--process", "--samples", "10", "--cache", "{cache}"],
-        ["simulate", "1048575", "--base", "2", "--samples", "4096", "--cap", "0",
-         "--cache", "{cache}"],
         ["clt", "--family", "10@2", "--base", "2", "--out", "{out_json}",
          "--cache", "{cache}"],
         ["clt", "--family", "1a@2", "--base", "16", "--cache", "{cache}"],
@@ -458,6 +485,11 @@ def test_phi_lambda_too_small(capsys):
          "--cache", "{cache}"],
         ["phi", "10" * 500, "--radix-input", "--base", "2", "--k", "3",
          "--samples", str(MAX_CELLS // 1000 + 1)],
+        # a cache path that cannot be a directory, refused when first written
+        ["dist", "5", "--cache", "{a_file}"],
+        ["dist", "5", "--cache", "{a_file}/sub"],
+        ["simulate", "7", "--samples", "10", "--cache", "{a_file}"],
+        ["clt", "--family", "10@2", "--base", "2", "--cache", "{a_file}/sub"],
     ],
     ids=[
         "negative-tail-eps",
@@ -470,9 +502,7 @@ def test_phi_lambda_too_small(capsys):
         "zero-past-length",
         "phi-insufficient-samples",
         "clt-unwritable-out",
-        "negative-cap",
         "process-needs-positive-r",
-        "cap-exceeded",
         "clt-out-is-its-json-twin",
         "clt-pattern-bad-digit",
         "sampler-base-past-int64",
@@ -497,6 +527,10 @@ def test_phi_lambda_too_small(capsys):
         "phi-samples-past-bound",
         "simulate-cells-past-bound",
         "phi-cells-past-bound",
+        "dist-cache-is-a-file",
+        "dist-cache-under-a-file",
+        "simulate-cache-is-a-file",
+        "clt-cache-under-a-file",
     ],
 )
 def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
@@ -507,6 +541,8 @@ def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
     zero = tmp_path / "zero.txt"
     zero.write_text("0\n5\n")
     out_json = tmp_path / "rates.json"
+    a_file = tmp_path / "notadir"
+    a_file.write_text("")
     argv = [
         a.format(
             missing=tmp_path / "absent.txt",
@@ -515,6 +551,7 @@ def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
             zero=zero,
             cache=tmp_path / "cache",
             out_json=out_json,
+            a_file=a_file,
         )
         for a in argv
     ]
@@ -536,6 +573,24 @@ def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
     elif n * 1000 > MAX_CELLS:
         bound = f"the bound of {MAX_CELLS} digit cells"
         assert err == f"error: {n} samples of 1000 digits is past {bound}\n"
+    cache = argv[argv.index("--cache") + 1] if "--cache" in argv else ""
+    if cache.startswith(str(a_file)):
+        why = "File exists" if cache == str(a_file) else "Not a directory"
+        assert err == f"error: cannot use {cache!r} as the cache directory: {why}\n"
+        assert a_file.read_text() == ""
+
+
+def test_propagation_cap_exceeded_is_usage_error(capsys, monkeypatch, tmp_path):
+    # 20 ones: every row but x = 0 carries past the digits of r, so with no
+    # digits allowed past r the sampler refuses the batch
+    monkeypatch.setattr(odometer, "PROPAGATION_CAP", 0)
+    code, out, err = run_cli(
+        capsys, "simulate", "1048575", "--base", "2", "--samples", "4096",
+        "--cache", str(tmp_path),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: batch propagation exceeded cap 0\n"
+    assert not any(tmp_path.iterdir())  # refused before the law is cached
 
 
 def test_clt_refuses_repetition_counts_below_one_by_name(capsys, tmp_cache):

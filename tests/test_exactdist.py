@@ -360,8 +360,6 @@ def test_nonpositive_tail_eps_is_refused(tail_eps):
     # no cutoff K gives a tail of at most 0; the search once ran forever
     with pytest.raises(ValueError):
         default_atom_cutoff(5, 2, tail_eps)
-    with pytest.raises(ValueError):
-        distribution(5, 2, tail_eps=tail_eps)
 
 
 def test_carry_tail_probability_bound_shape():
@@ -601,6 +599,8 @@ def _v1_text(doc):
         # atom 0 becomes 5/1: 5 * b**(K+1+L), K = 20, L = 7
         lambda doc: json.dumps({**doc, "nums": [hex(5 * 2**28)] + doc["nums"][1:]}),
         lambda doc: json.dumps({**doc, "r": hex(119)}),
+        # valid JSON nested past the parser's recursion limit
+        lambda doc: "[" * 10**5 + "]" * 10**5,
     ],
     ids=[
         "truncated",
@@ -611,6 +611,7 @@ def _v1_text(doc):
         "negative-mass",
         "wrong-sum",
         "wrong-r",
+        "nested-too-deep",
     ],
 )
 def test_corrupt_cache_file_is_recomputed(tmp_cache, corrupt):
@@ -624,6 +625,16 @@ def test_corrupt_cache_file_is_recomputed(tmp_cache, corrupt):
     assert distribution(118, 2, atoms=20, cache_dir=tmp_cache) == d
     with open(path) as fh:
         assert fh.read() == good
+
+
+def test_directory_at_cache_key_is_a_miss(tmp_cache):
+    d = distribution(118, 2, atoms=20)
+    path = os.path.join(tmp_cache, cache_key(2, 118, 20))
+    os.makedirs(path)
+    assert load_cached_distribution(2, 118, 20, tmp_cache) is None
+    assert distribution(118, 2, atoms=20, cache_dir=tmp_cache) == d
+    assert os.path.isdir(path)  # left alone, and nothing else written
+    assert os.listdir(tmp_cache) == [cache_key(2, 118, 20)]
 
 
 def test_cache_schema(tmp_cache):

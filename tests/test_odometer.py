@@ -18,7 +18,7 @@ from digitdrift.odometer import (
     sample_digit_matrix,
     sample_drift,
 )
-from digitdrift import rng
+from digitdrift import odometer, rng
 from digitdrift.digits import carry_count
 
 
@@ -119,7 +119,7 @@ def test_sample_drift_identity_random():
 def test_sample_drift_cap():
     s = AllMaxSample(2, [])
     with pytest.raises(PropagationCapExceeded):
-        sample_drift(s, 1, cap=50)
+        sample_drift(s, 1)  # every digit is b - 1: it stops at PROPAGATION_CAP
 
 
 def test_drift_samples_match_scalar():
@@ -158,10 +158,11 @@ def test_digit_matrix_wide_enough():
     assert all(int(x) + 999 < 10 ** X.shape[1] for x in x_vals)
 
 
-def test_digit_matrix_propagation_cap():
+def test_digit_matrix_propagation_cap(monkeypatch):
     # 20 ones: every row but x = 0 carries past the digits of r
+    monkeypatch.setattr(odometer, "PROPAGATION_CAP", 0)
     with pytest.raises(PropagationCapExceeded):
-        sample_digit_matrix(2**20 - 1, 2, 4096, 0, cap=0)
+        sample_digit_matrix(2**20 - 1, 2, 4096, 0)
 
 
 def test_carry_counts_against_integers():

@@ -71,6 +71,16 @@ def fmt_rational(q: Fraction) -> str:
     return f"{exactdist.rational_str(q)} ({float(q):.15g})"
 
 
+def _atom_rows(dist):
+    """(k, d, reduced mass "n/d", its float) for each stored atom of dist,
+    read from its integers: one gcd per atom and no Fraction."""
+    nums, den = dist._numerators
+    for k, n in enumerate(nums):
+        g = math.gcd(n, den)
+        n, d = n // g, den // g
+        yield k, dist.position(k), f"{n}/{d}", n / d
+
+
 def fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
@@ -108,7 +118,7 @@ def cmd_dist(args) -> int:
         "variance": exactdist.rational_str(var),
         "sigma": float(sigma),
         "tail": exactdist.rational_str(dist.tail_mass),
-        "atom_count": len(dist.atoms),
+        "atom_count": len(dist._numerators[0]),
         "mean_interval": mean_txt,
     }
     if r >= 1:
@@ -119,26 +129,26 @@ def cmd_dist(args) -> int:
         # mass is digits and "/", a decimal a finite float, which json
         # writes as its repr, and the atom list is never empty
         atoms = ",\n".join(
-            f'    {{\n      "k": {k},\n      "d": {dist.position(k)},\n'
-            f'      "mass": "{exactdist.rational_str(m)}",\n'
-            f'      "decimal": {float(m)!r}\n    }}'
-            for k, m in enumerate(dist.atoms)
+            f'    {{\n      "k": {k},\n      "d": {d},\n'
+            f'      "mass": "{mass}",\n'
+            f'      "decimal": {x!r}\n    }}'
+            for k, d, mass, x in _atom_rows(dist)
         )
         print(f'{json.dumps(header, indent=2)[:-2]},\n  "atoms": [\n{atoms}\n  ]\n}}')
     elif args.format == "csv":
         print("k,d,mass,decimal")
-        for k, m in enumerate(dist.atoms):
-            print(f"{k},{dist.position(k)},{exactdist.rational_str(m)},{float(m):.15g}")
+        for k, d, mass, x in _atom_rows(dist):
+            print(f"{k},{d},{mass},{x:.15g}")
     else:
         print(f"r = {r}  base = {args.base}  digits = {expand(r, args.base)}")
         extra = f"  rho = {header.get('rho')}  lambda = {header.get('lambda')}" if r >= 1 else ""
         print(f"s(r) = {dist.s_r}{extra}")
         print(f"variance = {fmt_rational(var)}")
         print(f"sigma ~= {float(sigma):.15g}")
-        print(f"atoms (K = {len(dist.atoms) - 1}):")
+        print(f"atoms (K = {header['atom_count'] - 1}):")
         print("  k    d     mass")
-        for k, m in enumerate(dist.atoms):
-            print(f"  {k:<4d} {dist.position(k):<5d} {fmt_rational(m)}")
+        for k, d, mass, x in _atom_rows(dist):
+            print(f"  {k:<4d} {d:<5d} {mass} ({x:.15g})")
         print(f"tail = {fmt_rational(dist.tail_mass)}")
         if mean_txt is not None:
             print(f"mean interval = [{mean_txt[0]}, {mean_txt[1]}] (contains 0)")
@@ -225,12 +235,15 @@ def _check_recursion(r: int, base: int, seed: int) -> list[str]:
 def _check_reverse(r: int, base: int) -> list[str]:
     rev = reverse_expansion(expand(r, base)).value()
     k_max = min(40, exactdist.default_atom_cutoff(r, base, exactdist.DEFAULT_TAIL_EPS))
-    a = exactdist.distribution(r, base, atoms=k_max)
-    bdist = exactdist.distribution(rev, base, atoms=k_max)
-    if a.atoms != bdist.atoms:
-        bad = next(k for k in range(k_max + 1) if a.atoms[k] != bdist.atoms[k])
+    (na, da), (nb, db) = (
+        exactdist.distribution(u, base, atoms=k_max)._numerators for u in (r, rev)
+    )
+    # cross-multiplied: rev has fewer digits than r when r ends in zeros
+    bad = next((k for k in range(k_max + 1) if na[k] * db != nb[k] * da), None)
+    if bad is not None:
         return [
-            f"reverse r={r} rev={rev} atom k={bad}: {a.atoms[bad]} != {bdist.atoms[bad]}"
+            f"reverse r={r} rev={rev} atom k={bad}: "
+            f"{Fraction(na[bad], da)} != {Fraction(nb[bad], db)}"
         ]
     return []
 

@@ -5,6 +5,11 @@ Everything here is exact: atom masses come out of an integer dynamic
 program over the digit chain of r, and variance out of the matching
 two-value recursion. Floats never enter, except for one derived cache:
 `DriftDistribution.normalized_support`, the float view `cltdiag` reads.
+
+A law from the engine or the cache keeps the engine's integers: the atom
+numerators over their one denominator b**(K+1+L). Every library consumer
+of masses reads those integers; the tuple of reduced `Fraction`s in
+`atoms` is built only when a caller reads it.
 """
 from __future__ import annotations
 
@@ -50,6 +55,14 @@ class DriftDistribution:
 
     Atom k sits at d = s_r - k*(base-1). tail_mass is 1 minus the sum of the
     stored atoms, so total mass is conserved by construction.
+
+    The masses are also held as integers, `_numerators` = (nums, den) with
+    atom k = nums[k] / den, and every consumer in the package reads those.
+    A law from the engine or the cache (`_from_numerators`) is born with
+    the engine's numerators and builds `atoms` on first read; a law built
+    here from its Fractions gets its numerators on first read, over the
+    lcm of the atom denominators. Either way ==, hash and repr read the
+    five fields, `atoms` included.
     """
 
     base: int
@@ -63,6 +76,22 @@ class DriftDistribution:
         if any(m.numerator < 0 for m in self.atoms) or self.tail_mass.numerator < 0:
             raise AssertionError("negative mass: distribution recursion is broken")
 
+    def __getattr__(self, name):
+        # reached only for a name missing from the instance: `atoms` of a
+        # law from _from_numerators before its first read
+        if name != "atoms":
+            raise AttributeError(name)
+        nums, den = self._numerators
+        atoms = tuple(Fraction(n, den) for n in nums)
+        object.__setattr__(self, "atoms", atoms)
+        return atoms
+
+    @cached_property
+    def _numerators(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den): atom k is nums[k] / den."""
+        den = math.lcm(*(m.denominator for m in self.atoms))
+        return tuple(m.numerator * (den // m.denominator) for m in self.atoms), den
+
     def position(self, k: int) -> int:
         """k-th possible drift value: s(r) - k*(b-1), k = carry count (an
         int, or elementwise an int array)."""
@@ -74,10 +103,11 @@ class DriftDistribution:
             yield self.position(k), m
 
     def mass_at(self, d: int) -> Fraction:
+        nums, den = self._numerators
         q, rem = divmod(self.s_r - d, self.base - 1)
-        if rem != 0 or q < 0 or q >= len(self.atoms):
+        if rem != 0 or q < 0 or q >= len(nums):
             return Fraction(0)
-        return self.atoms[q]
+        return Fraction(nums[q], den)
 
     @cached_property
     def normalized_support(self) -> tuple[np.ndarray, np.ndarray]:
@@ -94,14 +124,16 @@ class DriftDistribution:
             sigma = math.sqrt(variance_exact(self.r, self.base))
             # bit for bit the per-atom d / sigma and float(m): each int d is
             # rounded to a double before the division either way (a range of
-            # Python ints, so no int64 overflow for wide bases), and
-            # float(Fraction) is the correctly rounded numerator / denominator.
-            # Built k ascending and read reversed: the negative stride keeps
-            # matmul in mollifier_chain_check on its pinned summation order
-            n = len(self.atoms)
+            # Python ints, so no int64 overflow for wide bases), and int / int
+            # is correctly rounded, as float(Fraction) is, so n / den is the
+            # float of the reduced atom. Built k ascending and read reversed:
+            # the negative stride keeps matmul in mollifier_chain_check on
+            # its pinned summation order
+            nums, den = self._numerators
+            n = len(nums)
             ds = range(self.s_r, self.position(n), 1 - self.base)
             pos = (np.fromiter(ds, float, n) / sigma)[::-1]
-            mass = np.array([m.numerator / m.denominator for m in self.atoms])[::-1]
+            mass = np.array([m / den for m in nums])[::-1]
         pos.flags.writeable = False
         mass.flags.writeable = False
         return pos, mass
@@ -241,14 +273,21 @@ def _carry_numerators(r: int, base: int, K: int) -> tuple[list[int], int]:
 
 
 def _from_numerators(r: int, base: int, nums: list[int], den: int) -> DriftDistribution:
-    """The drift law of r with atom k = nums[k] / den and the rest as tail."""
-    return DriftDistribution(
-        base,
-        r,
-        int_digit_sum(r, base),
-        tuple(Fraction(n, den) for n in nums),
-        Fraction(den - sum(nums), den),
+    """The drift law of r with atom k = nums[k] / den and the rest as tail.
+
+    The law keeps the integers; its `atoms` are built on first read."""
+    tail = den - sum(nums)
+    if min(nums) < 0 or tail < 0:
+        raise AssertionError("negative mass: distribution recursion is broken")
+    law = object.__new__(DriftDistribution)
+    vars(law).update(
+        base=base,
+        r=r,
+        s_r=int_digit_sum(r, base),
+        tail_mass=Fraction(tail, den),
+        _numerators=(tuple(nums), den),
     )
+    return law
 
 
 def atom_mass(r: int, base: int, d: int) -> Fraction:
@@ -331,7 +370,7 @@ def tail_abs_moment_bound(dist: DriftDistribution, power: int) -> Fraction:
         return Fraction(0)
     b = dist.base
     L = expand(dist.r, b).digit_count()
-    K = len(dist.atoms) - 1
+    K = len(dist._numerators[0]) - 1
     if K < L:
         raise TailBoundUnavailable(
             f"atom cutoff K={K} is below the digit count {L} of r"
@@ -351,12 +390,10 @@ def tail_abs_moment_bound(dist: DriftDistribution, power: int) -> Fraction:
 
 
 def _stored_moment(dist: DriftDistribution, power: int) -> Fraction:
-    """Sum of d**power * mass over the stored atoms, over their least common
-    denominator (a power of b for a law the engine computed)."""
-    den = math.lcm(*(m.denominator for m in dist.atoms))
-    return Fraction(
-        sum(d**power * m.numerator * (den // m.denominator) for d, m in dist.items()), den
-    )
+    """Sum of d**power * mass over the stored atoms."""
+    nums, den = dist._numerators
+    ds = range(dist.s_r, dist.position(len(nums)), 1 - dist.base)
+    return Fraction(sum(d**power * n for d, n in zip(ds, nums)), den)
 
 
 def mean_interval(dist: DriftDistribution) -> tuple[Fraction, Fraction]:

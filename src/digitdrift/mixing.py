@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import ClassVar
 
 import numpy as np
@@ -97,21 +96,20 @@ def block_laws(r: int, base: int) -> list[DriftDistribution]:
 
 def exact_median(dist: DriftDistribution) -> int:
     """Smallest lattice value d with P(X <= d) >= 1/2."""
-    cum_above = Fraction(0)  # mass strictly above the current atom
-    half = Fraction(1, 2)
+    nums, den = dist._numerators
+    above = 0  # numerator of the mass strictly above the current atom
     choice = dist.position(0)
-    for k, m in enumerate(dist.atoms):
-        if 1 - cum_above >= half:
-            choice = dist.position(k)
-        else:
+    for k, n in enumerate(nums):
+        if 2 * above > den:  # P(X <= d_k) = 1 - above / den < 1/2
             break
-        cum_above += m
+        choice = dist.position(k)
+        above += n
     return choice
 
 
 def exact_mode(dist: DriftDistribution) -> int:
-    best_k = max(range(len(dist.atoms)), key=lambda k: dist.atoms[k])
-    return dist.position(best_k)
+    nums, _ = dist._numerators
+    return dist.position(max(range(len(nums)), key=nums.__getitem__))
 
 
 def phi_bound(k: int, base: int) -> float:

@@ -221,17 +221,19 @@ class EnclosureViolation:
 
 def check_enclosures(dist: DriftDistribution, level: int) -> list[EnclosureViolation]:
     """Verify every atom above 10^-9 against its tower enclosure,
-    lo <= mass <= hi cross-multiplied over the tower total."""
+    lo <= mass <= hi cross-multiplied over the tower total and the law's
+    denominator."""
     r, base = dist.r, dist.base
     counts, _, total = tower_counts(r, base, level)
     violations, s_r = [], int_digit_sum(r, base)
-    for k, mass in enumerate(dist.atoms):
-        if mass.numerator * 10**9 <= mass.denominator:
+    nums, den = dist._numerators
+    for k, n in enumerate(nums):
+        if n * 10**9 <= den:
             continue
         d = dist.position(k)
         lo, hi = _enclosure_numerators(counts, r, s_r, base, d)
-        if not lo * mass.denominator <= mass.numerator * total <= hi * mass.denominator:
-            lo, hi = Fraction(lo, total), Fraction(hi, total)
+        if not lo * den <= n * total <= hi * den:
+            mass, lo, hi = Fraction(n, den), Fraction(lo, total), Fraction(hi, total)
             violations.append(EnclosureViolation(r, base, level, k, d, mass, lo, hi))
     return violations
 
@@ -269,7 +271,7 @@ def cesaro_check(r: int, base: int, n: int, f: str, d: int | None = None) -> Ces
     if f == "indicator":
         emp = dens.get(d, Fraction(0))
         q, rem = divmod(dist.s_r - d, base - 1)
-        if rem == 0 and q >= len(dist.atoms):
+        if rem == 0 and q >= len(dist._numerators[0]):
             return CesaroResult(emp, Fraction(0), dist.tail_mass)
         mass = dist.mass_at(d)
         return CesaroResult(emp, mass, mass)
@@ -279,6 +281,7 @@ def cesaro_check(r: int, base: int, n: int, f: str, d: int | None = None) -> Ces
         return CesaroResult(emp, *mean_interval(dist))
     if f == "square":
         return CesaroResult(emp, *second_moment_interval(dist))
-    partial = sum(abs(Fraction(dd)) * m for dd, m in dist.items())
+    nums, den = dist._numerators
+    partial = Fraction(sum(abs(dist.position(k)) * n for k, n in enumerate(nums)), den)
     t1 = tail_abs_moment_bound(dist, 1)
     return CesaroResult(emp, partial, partial + t1)

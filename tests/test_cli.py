@@ -178,6 +178,22 @@ def test_dist_tail_eps_stdout_is_pinned(capsys, tmp_path, command):
     assert (code, out, err) == (0, DIST_STDOUT[command], "")
 
 
+CLI_STDOUT = json.loads((Path(__file__).parent / "data" / "cli_stdout_pinned.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(CLI_STDOUT))
+def test_cli_stdout_is_pinned(capsys, tmp_path, command):
+    # stdout recorded while every consumer still read the law as one
+    # Fraction per atom: dist in all three formats (r = 0, 1, bases 2, 10,
+    # 200 and 3 * 2**60), cold and then warm from the cache, and verify
+    argv = command.split()
+    runs = 2 if argv[0] == "dist" else 1
+    if argv[0] == "dist":
+        argv += ["--cache", str(tmp_path)]
+    for _ in range(runs):
+        assert run_cli(capsys, *argv) == (0, CLI_STDOUT[command], "")
+
+
 def test_dist_bad_base(capsys):
     code, _, err = run_cli(capsys, "dist", "5", "--base", "1")
     assert code == 2

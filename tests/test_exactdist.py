@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import tempfile
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitdrift import exactdist
+from digitdrift import exactdist, mixing, oracle
 from digitdrift.digits import expand, int_digit_sum, reverse_expansion
 from digitdrift.errors import (
     CutoffTooLarge,
@@ -19,7 +20,9 @@ from digitdrift.errors import (
 )
 from digitdrift.exactdist import (
     MAX_NUMERATOR_BITS,
+    DriftDistribution,
     _carry_numerators,
+    _from_numerators,
     atom_mass,
     cache_key,
     carry_tail_probability_bound,
@@ -64,6 +67,83 @@ def test_negative_mass_is_refused():
     with pytest.raises(AssertionError):
         replace(law, tail_mass=Fraction(-1, 10**40))
     assert replace(law, tail_mass=Fraction(0)).tail_mass == 0  # zero is a mass
+
+
+def rebuilt(law):
+    """The same law through the public constructor, from its Fractions."""
+    return DriftDistribution(law.base, law.r, law.s_r, tuple(law.atoms), law.tail_mass)
+
+
+def law_readings(law, level):
+    """What the package's consumers read off a law, each in its own form."""
+    K = len(law._numerators[0]) - 1
+    ds = [law.position(k) + off for k in range(-1, K + 3) for off in (0, 1)]
+    readings = {
+        "mass_at": [law.mass_at(d) for d in ds],
+        "mean": mean_interval(law),
+        "second": second_moment_interval(law),
+        "median": mixing.exact_median(law),
+        "mode": mixing.exact_mode(law),
+        "support": [a.tolist() for a in law.normalized_support],
+    }
+    if level is not None:
+        readings["enclosures"] = oracle.check_enclosures(law, level)
+    return readings
+
+
+@given(
+    st.sampled_from([*range(2, 41), 200, 3 * 2**60]),
+    st.data(),
+    st.booleans(),
+)
+@settings(max_examples=80)
+def test_lazy_law_reads_as_its_constructor_twin(base, data, cached):
+    # a law from the engine or the cache holds integers and builds atoms on
+    # first read; every reading must equal the reading of the same law
+    # built from its Fractions, and none of them may build the atoms
+    r = data.draw(st.one_of(st.just(0), st.integers(0, base**12 - 1)), label="r")
+    with tempfile.TemporaryDirectory() as tmp:
+        if cached:
+            distribution(r, base, cache_dir=tmp)  # a miss: computed and saved
+            law = load_cached_distribution(
+                base, r, default_atom_cutoff(r, base, exactdist.DEFAULT_TAIL_EPS), tmp
+            )
+        else:
+            law = distribution(r, base)
+    # the smallest tower that covers r, for the bases the oracle can count
+    level = None if base > 200 or r == 0 else expand(r, base).digit_count()
+    got = law_readings(law, level)
+    assert "atoms" not in vars(law)
+    nums, den = _carry_numerators(r, base, len(law._numerators[0]) - 1)
+    twin = rebuilt(law)
+    assert law.atoms == twin.atoms == tuple(Fraction(n, den) for n in nums)
+    assert law.tail_mass == twin.tail_mass == 1 - sum(twin.atoms)
+    assert law == twin and twin == law
+    assert hash(law) == hash(twin)
+    assert repr(law) == repr(twin)
+    assert got == law_readings(twin, level)
+
+
+def test_lazy_law_enclosure_violations_match_the_fraction_law():
+    # a law with half its mode's mass moved to the next atom fails its
+    # towers the same way read from its integers as from its Fractions
+    nums, den = _carry_numerators(118, 2, 30)
+    k = nums.index(max(nums))
+    nums[k], nums[k + 1] = nums[k] - nums[k] // 2, nums[k + 1] + nums[k] // 2
+    law = _from_numerators(118, 2, nums, den)
+    violations = oracle.check_enclosures(law, 12)
+    assert "atoms" not in vars(law)
+    assert [v.k for v in violations] == [k, k + 1]
+    assert violations == oracle.check_enclosures(rebuilt(law), 12)
+
+
+def test_engine_law_with_a_negative_mass_is_refused():
+    nums, den = _carry_numerators(118, 2, 30)
+    with pytest.raises(AssertionError):
+        _from_numerators(118, 2, [-1] + nums[1:], den)  # a negative atom
+    with pytest.raises(AssertionError):
+        _from_numerators(118, 2, [nums[0] + den] + nums[1:], den)  # a negative tail
+    assert _from_numerators(118, 2, [0] * 31, den).tail_mass == 1  # zero is a mass
 
 
 def test_atom_mass_base_cases():

@@ -14,12 +14,13 @@ from digitdrift.odometer import (
     DriftSample,
     LazyBadicSample,
     carry_counts,
+    drift_from_digits,
     drift_samples,
     sample_digit_matrix,
     sample_drift,
 )
 from digitdrift import odometer, rng
-from digitdrift.digits import carry_count
+from digitdrift.digits import carry_count, expand, int_digit_sum
 
 
 class FixedSample:
@@ -37,14 +38,6 @@ class FixedSample:
         for i in range(m - 1, -1, -1):
             v = v * self.base + self.digit(i)
         return v
-
-
-class AllMaxSample(FixedSample):
-    def digit(self, i):
-        return self.base - 1
-
-    def prefix_value(self, m):
-        return self.base**m - 1
 
 
 def test_sample_digits_never_change():
@@ -116,10 +109,30 @@ def test_sample_drift_identity_random():
         assert out.delta == 33 - 9 * out.carries
 
 
-def test_sample_drift_cap():
-    s = AllMaxSample(2, [])
-    with pytest.raises(PropagationCapExceeded):
-        sample_drift(s, 1)  # every digit is b - 1: it stops at PROPAGATION_CAP
+CAP = 5  # PROPAGATION_CAP while a cap test runs
+
+
+def carry_run_digits(r, base, run):
+    """Digits of x, lowest first, such that x + r carries out of r's L
+    digits and on through `run` digits b - 1, then stops at digit L + run
+    (a 0): x = b**(L + run) - r."""
+    L = len(expand(r, base).digits)
+    low = expand(base**L - r, base).digits
+    return list(low) + [0] * (L - len(low)) + [base - 1] * run + [0]
+
+
+def test_sample_drift_cap(monkeypatch):
+    # a carry may read CAP digits past r: the last one may stop it, and a
+    # carry still running after it is refused
+    monkeypatch.setattr(odometer, "PROPAGATION_CAP", CAP)
+    for r, base in [(1, 2), (118, 2), (5900991, 10), (5, 3 * 2**60)]:
+        L = len(expand(r, base).digits)
+        x = base ** (L + CAP - 1) - r
+        out = sample_drift(FixedSample(base, carry_run_digits(r, base, CAP - 1)), r)
+        delta = int_digit_sum(x + r, base) - int_digit_sum(x, base)
+        assert out == DriftSample(delta, carry_count(x, r, base), L + CAP)
+        with pytest.raises(PropagationCapExceeded):
+            sample_drift(FixedSample(base, carry_run_digits(r, base, CAP)), r)
 
 
 def test_drift_samples_match_scalar():
@@ -158,11 +171,39 @@ def test_digit_matrix_wide_enough():
     assert all(int(x) + 999 < 10 ** X.shape[1] for x in x_vals)
 
 
+def scripted_digit_block(rows):
+    """A stand-in for rng.digit_block that serves sample i the digits
+    rows[i] (zeros past their end), in digit_block's dtype and layout."""
+
+    def digit_block(keys, base, positions):
+        assert len(keys) == len(rows)
+        out = [[row[j] if j < len(row) else 0 for j in positions] for row in rows]
+        return np.asfortranarray(np.array(out, dtype=np.min_scalar_type(base - 1)))
+
+    return digit_block
+
+
 def test_digit_matrix_propagation_cap(monkeypatch):
-    # 20 ones: every row but x = 0 carries past the digits of r
-    monkeypatch.setattr(odometer, "PROPAGATION_CAP", 0)
-    with pytest.raises(PropagationCapExceeded):
-        sample_digit_matrix(2**20 - 1, 2, 4096, 0)
+    # as test_sample_drift_cap, for the batch: a row whose carry stops at
+    # the CAP-th digit past r widens the matrix to L + CAP columns, and one
+    # still carrying after it is refused
+    monkeypatch.setattr(odometer, "PROPAGATION_CAP", CAP)
+    for r, base in [(1, 2), (118, 2), (5900991, 10), (12345, 200)]:
+        L = len(expand(r, base).digits)
+        at_cap = carry_run_digits(r, base, CAP - 1)
+        monkeypatch.setattr(rng, "digit_block", scripted_digit_block([[0], at_cap]))
+        X = sample_digit_matrix(r, base, 2, 0)
+        assert X.shape == (2, L + CAP)
+        assert X[1].tolist() == at_cap
+        x = base ** (L + CAP - 1) - r
+        delta, carries = drift_from_digits(X, r, base)
+        assert carries.tolist() == [0, carry_count(x, r, base)]
+        s_r = int_digit_sum(r, base)
+        assert delta.tolist() == [s_r, int_digit_sum(x + r, base) - int_digit_sum(x, base)]
+        rows = [[0], carry_run_digits(r, base, CAP)]
+        monkeypatch.setattr(rng, "digit_block", scripted_digit_block(rows))
+        with pytest.raises(PropagationCapExceeded):
+            sample_digit_matrix(r, base, 2, 0)
 
 
 def test_carry_counts_against_integers():

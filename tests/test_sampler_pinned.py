@@ -21,13 +21,17 @@ from unittest import mock
 
 import numpy as np
 
-from digitdrift import cli, odometer
+from digitdrift import cli, odometer, rng
 from digitdrift.mixing import process_from_digits
 
 PINNED = Path(__file__).parent / "data" / "sampler_pinned.json"
 
-# (r, base, samples, seed, first_index). The rejection bases reject
-# 1/3, 2/7, 1/257 and 1/16 of raw draws; 3 * 2**60 is the sampler's
+# (r, base, samples, seed, first_index). Bases that do not divide 2**64
+# reject the raw words past the last whole multiple of the base, 2**64 %
+# base of the 2**64: that is 1, 2 and 1 words for bases 3, 7 and 257, so
+# they never reject in practice, and 2**60 (1/16 of draws) for 3 * 2**60,
+# the one case that covers the rejection branch (see
+# test_pinned_rejection_base_draws_rejected_words). It is the sampler's
 # largest 3 * 2**k base (a base past 2**62 overflows its int64 sums).
 MATRIX_CASES = [
     (5900991, 10, 50_000, 0, 0),
@@ -94,6 +98,19 @@ def test_sampler_outputs_match_pinned():
     for g, w in zip(got["commands"], want["commands"]):
         assert g == w, w["argv"]
     assert got == want
+
+
+def test_pinned_rejection_base_draws_rejected_words():
+    # the first raw word of position 0, as rng.digit_at draws it
+    for r, base, n, seed, first_index in MATRIX_CASES:
+        if base != 3 * 2**60:
+            continue
+        limit = 2**64 - 2**64 % base
+        rejected = sum(
+            rng.mix64(rng.mix64(rng.mix64(seed + (i + 1) * rng._GOLD) + rng._GOLD)) >= limit
+            for i in range(first_index, first_index + n)
+        )
+        assert rejected > n // 32, (first_index, rejected)  # about n / 16 expected
 
 
 if __name__ == "__main__":

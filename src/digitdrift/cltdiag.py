@@ -52,7 +52,7 @@ def mollifier_profile(t):
     at both endpoints (degree-7 smoothstep, mirrored). Takes a float or an
     array; the polynomial is exactly 1.0 at 0 and 0.0 at 1, so clipping
     gives the flat ends."""
-    # np.clip costs ~6 us on a scalar, and smooth_gap calls this per atom
+    # np.clip costs ~6 us on a scalar, and smooth_gap calls this per ramp atom
     t = np.clip(t, 0.0, 1.0) if isinstance(t, np.ndarray) else min(max(t, 0.0), 1.0)
     return 1.0 - t**4 * (35.0 - 84.0 * t + 70.0 * t * t - 20.0 * t**3)
 
@@ -155,15 +155,39 @@ def _gaussian_mollifier_expectations(ts: np.ndarray, eps: float) -> np.ndarray:
     return _normal_cdf_array(ts - eps) + ramp
 
 
+def _ramp_window(pos: np.ndarray, c, two_eps: float):
+    """Index bounds (j0, j1) of the atoms on the ramp of h_t, c = eps - t,
+    for a float c or an array of them; pos must be ascending. With
+    arg = fl(fl(c + u) / two_eps), as mollifier() rounds it:
+
+    - before j0, u <= -c, so fl(c + u) <= 0 and arg <= 0. j0 is exact for
+      fl(c + u): a sum of two doubles rounds to 0 only when it is 0. arg
+      itself can still underflow to 0 past j0, so callers run the full
+      per-atom test on the window.
+    - from j1 on, u > fl(two_eps - c). A double above the rounding of a real
+      is above the real, so c + u > two_eps, fl(c + u) >= two_eps (a double;
+      rounding is monotone) and arg >= 1. No margin is needed, and the atoms
+      need not be distinct.
+
+    Where two_eps - c is not finite (an overflow, or t not a number) the
+    window is the whole support.
+    """
+    j0 = np.searchsorted(pos, -c, side="right")
+    j1 = np.searchsorted(pos, two_eps - c, side="right")
+    whole = ~np.isfinite(two_eps - c)
+    return np.where(whole, 0, j0), np.where(whole, len(pos), j1)
+
+
 def smooth_gap(dist: DriftDistribution, h) -> float:
     """|E h(Z) - E h(Y)| with Z the normalized drift and Y standard normal.
 
     h is "cubic", "sin", or ("mollifier", t, eps). The atom sum is exact up
     to the certified tail; E h(Y) is analytic (odd h) or quadrature.
 
-    The mollifier sum stays a per-atom scalar loop on purpose: numpy's
-    array `**` and the scalar `**` can differ in the last bit, and the
-    scalar values are the ones pinned by the tests. The loop runs over
+    The mollifier is 1.0 before its ramp window (_ramp_window) and 0.0
+    past it; on the window it stays a per-atom scalar loop on purpose:
+    numpy's array `**` and the scalar `**` can differ in the last bit, and
+    the scalar values are the ones pinned by the tests. The loop runs over
     Python floats (pos.tolist()), not np.float64 scalars: both round the
     profile the same, and Python float arithmetic is the cheaper of the two.
     """
@@ -178,11 +202,15 @@ def smooth_gap(dist: DriftDistribution, h) -> float:
     elif isinstance(h, tuple) and h[0] == "mollifier":
         _, t, eps = h
         _check_eps(eps)
-        # mollifier(t, eps, u) per atom, with eps checked once
-        vals = np.array([mollifier_profile((eps - t + u) / (2.0 * eps)) for u in pos.tolist()])
+        e_y = gaussian_mollifier_expectation(t, eps)
+        j0, j1 = (int(j) for j in _ramp_window(pos, eps - t, 2.0 * eps))
+        # mollifier(t, eps, u) per atom, with eps checked once; the clipped
+        # profile is exactly 1.0 and 0.0 off the window
+        vals = np.zeros(len(pos))
+        vals[:j0] = 1.0
+        vals[j0:j1] = [mollifier_profile((eps - t + u) / (2.0 * eps)) for u in pos[j0:j1].tolist()]
         # tail atoms sit far left where the mollifier is 1
         e_z = float(np.sum(mass * vals)) + tail
-        e_y = gaussian_mollifier_expectation(t, eps)
     else:
         raise ValueError(f"unknown function descriptor {h!r}")
     return abs(e_z - e_y)
@@ -211,14 +239,44 @@ class MollifierChainCheck:
         return self.ks_hi <= self.smooth_sup + self.slack + 1e-10
 
 
+def _mollifier_expectations_z(
+    pos: np.ndarray, mass: np.ndarray, ts: np.ndarray, eps: float
+) -> np.ndarray:
+    """sum_u mollifier(t, eps, u) * mass(u) over the computed atoms for
+    every t in ts, as a banded sum: the prefix of the masses before each
+    ramp window, then the window terms in atom order. These are the
+    roundings of the (points x atoms) product summed along each row from
+    the first atom, bit for bit: np.cumsum adds in order, the prefix terms
+    are 1.0 * mass, and the zeros past each window would add nothing."""
+    n = len(pos)
+    two_eps = 2.0 * eps
+    c = eps - ts
+    j0, j1 = _ramp_window(pos, c, two_eps)
+    e_z = np.concatenate(([0.0], np.cumsum(mass)))[j0]
+    # (window column, point): row k holds atom j0 + k of every point
+    idx = j0 + np.arange(int((j1 - j0).max()))[:, None]
+    inside = idx < n
+    idx = np.minimum(idx, n - 1)
+    arg = (c + pos[idx]) / two_eps
+    # 1.0, the profile or 0.0 by the same tests as for a whole row
+    terms = (inside & (arg <= 0)).astype(np.float64)
+    ramp = inside & (arg > 0) & (arg < 1)
+    terms[ramp] = mollifier_profile(arg[ramp])
+    terms *= mass[idx]
+    for row in terms:
+        e_z += row
+    return e_z
+
+
 def mollifier_chain_check(dist: DriftDistribution, eps: float) -> MollifierChainCheck:
     """Numerical check that the CDF distance is controlled by the mollifier
     gaps plus 4 eps / sqrt(2 pi).
 
     The smooth sup is taken over a grid of shift points covering the
     support, including every atom and its eps-shifts. Both sides are
-    evaluated for all shift points at once: E h_t(Z) as one (points x atoms)
-    array, E h_t(Y) by _gaussian_mollifier_expectations.
+    evaluated for all shift points at once: E h_t(Z) as a banded sum over
+    each point's ramp window (_mollifier_expectations_z), E h_t(Y) by
+    _gaussian_mollifier_expectations.
     """
     _check_eps(eps)
     _, ks_hi = ks_distance(dist)
@@ -226,16 +284,8 @@ def mollifier_chain_check(dist: DriftDistribution, eps: float) -> MollifierChain
     tail = float(dist.tail_mass)
     span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, CHAIN_GRID_POINTS)
     ts = np.unique(np.concatenate([span, pos, pos - eps, pos + eps]))
-    # first, so its (points x nodes) buffers are gone before the larger
-    # (points x atoms) ones below exist
     e_y = _gaussian_mollifier_expectations(ts, eps)
-    # E h_t(Z) for all t at once: ramp contribution per atom
-    arg = (eps - ts[:, None] + pos[None, :]) / (2.0 * eps)
-    # the profile is flat off the ramp; most of the grid sits there
-    hz = (arg <= 0).astype(np.float64)
-    ramp = (arg > 0) & (arg < 1)
-    hz[ramp] = mollifier_profile(arg[ramp])
-    e_z = hz @ mass + tail
+    e_z = _mollifier_expectations_z(pos, mass, ts, eps) + tail
     smooth_sup = float(np.max(np.abs(e_z - e_y)))
     return MollifierChainCheck(eps, ks_hi, smooth_sup, 4.0 * eps / SQRT2PI)
 

@@ -127,8 +127,9 @@ class DriftDistribution:
             # Python ints, so no int64 overflow for wide bases), and int / int
             # is correctly rounded, as float(Fraction) is, so n / den is the
             # float of the reduced atom. Built k ascending and read reversed:
-            # the negative stride keeps matmul in mollifier_chain_check on
-            # its pinned summation order
+            # the negative stride keeps `pos**3` in smooth_gap's cubic gap on
+            # its pinned bits, since numpy's pow kernel rounds by memory
+            # layout (contiguous copies move the last bit on some laws)
             nums, den = self._numerators
             n = len(nums)
             ds = range(self.s_r, self.position(n), 1 - self.base)

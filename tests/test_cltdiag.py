@@ -13,6 +13,7 @@ from digitdrift.cltdiag import (
     CHAIN_GRID_POINTS,
     MOLLIFIER_D3_SUP,
     _gaussian_mollifier_expectations,
+    _mollifier_expectations_z,
     _normal_cdf_array,
     gaussian_mollifier_expectation,
     ks_distance,
@@ -326,8 +327,78 @@ def test_batched_gaussian_side_equals_scalar_twin():
             assert [float(v) for v in got] == want, (r, b, eps)
 
 
+def dense_mollifier_expectations_z(pos, mass, ts, eps):
+    # the (points x atoms) form the banded sum replaced: each row summed by
+    # matmul from the first atom on the read-only reversed views
+    arg = (eps - ts[:, None] + pos[None, :]) / (2.0 * eps)
+    hz = (arg <= 0).astype(np.float64)
+    ramp = (arg > 0) & (arg < 1)
+    hz[ramp] = mollifier_profile(arg[ramp])
+    return hz @ mass
+
+
+def all_atom_mollifier_gap(d, t, eps):
+    # smooth_gap's mollifier branch before the ramp window: every atom
+    # through the scalar profile
+    pos, mass = normalized_support(d)
+    vals = np.array([mollifier_profile((eps - t + u) / (2.0 * eps)) for u in pos.tolist()])
+    e_z = float(np.sum(mass * vals)) + float(d.tail_mass)
+    return abs(e_z - gaussian_mollifier_expectation(t, eps))
+
+
+# random laws over bases 2..40 with r < b**12, r = 0 among them
+random_laws = st.integers(2, 40).flatmap(
+    lambda b: st.tuples(st.one_of(st.just(0), st.integers(1, b**12 - 1)), st.just(b))
+)
+# a shift point at an atom, at atom +- eps or at atom +- 2 eps
+atom_shifts = st.tuples(st.integers(0, 2**16), st.sampled_from([0, 1, -1, 2, -2]))
+
+
+@given(random_laws, st.floats(1e-6, 5.0), st.lists(atom_shifts, max_size=8))
+def test_banded_mollifier_sum_is_the_dense_sum_bit_for_bit(law, eps, shifts):
+    pos, mass = normalized_support(distribution(*law))
+    # the chain check's own grid, then points at and around atoms
+    span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, CHAIN_GRID_POINTS)
+    ts = np.unique(np.concatenate([span, pos, pos - eps, pos + eps]))
+    extra = [pos[i % len(pos)] + k * eps for i, k in shifts]
+    ts = np.concatenate([ts, pos - 2 * eps, pos + 2 * eps, extra])
+    got = _mollifier_expectations_z(pos, mass, ts, eps)
+    want = dense_mollifier_expectations_z(pos, mass, ts, eps)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (law, eps)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_banded_mollifier_sum_where_shifts_overflow():
+    # c = eps - t or 2 eps not finite: the window is the whole support
+    pos, mass = normalized_support(distribution(118, 2))
+    ts = np.array([0.0, 1e308, -1e308, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan])
+    for eps in (1e-6, 1.0, 1e308, 1.7e308):
+        got = _mollifier_expectations_z(pos, mass, ts, eps)
+        want = dense_mollifier_expectations_z(pos, mass, ts, eps)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), eps
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(
+    random_laws,
+    st.floats(1e-6, 5.0),
+    st.one_of(st.floats(-8.0, 8.0), atom_shifts),
+)
+@example((118, 2), 1e308, -1e308)
+@example((118, 2), 1e308, 1e308)
+def test_windowed_mollifier_gap_is_the_all_atom_loop(law, eps, shift):
+    d = distribution(*law)
+    if isinstance(shift, tuple):
+        pos, _ = normalized_support(d)
+        shift = float(pos[shift[0] % len(pos)] + shift[1] * eps)
+    got = smooth_gap(d, ("mollifier", shift, eps))
+    assert got.hex() == all_atom_mollifier_gap(d, shift, eps).hex(), (law, shift, eps)
+
+
 def test_diagnostics_match_pinned_float_hex():
-    # float.hex values recorded before the chain check was batched
+    # float.hex values recorded before the chain check was batched; the
+    # last two laws, whose cubic gap moves with the memory layout of the
+    # float view, before it became a banded sum
     for case in json.loads(PINNED.read_text()):
         r, b = case["r"], case["base"]
         d = distribution(r, b)

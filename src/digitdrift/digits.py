@@ -8,8 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import groupby
+from operator import index
 
 from .errors import InvalidBase, ZeroHasNoBlocks
+
+_ASCII_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+_SPLIT_DIGITS = 64  # digits of the pieces the split below reads with divmod
+_MEMO_SIZE = 32  # expansions kept by expand: more than one op reads (r and its block prefixes)
 
 
 def check_base(base: int) -> None:
@@ -17,16 +24,70 @@ def check_base(base: int) -> None:
         raise InvalidBase(f"base must be an integer >= 2, got {base!r}")
 
 
+def _divmod_digits(n: int, base: int, width: int = 0) -> list[int]:
+    """Digits of n, least-significant first, zero-padded to width."""
+    ds = []
+    while n:
+        n, d = divmod(n, base)
+        ds.append(d)
+    ds.extend([0] * (width - len(ds)))
+    return ds
+
+
+def _split_digits(n: int, base: int) -> list[int]:
+    """Digits of n, least-significant first, by divide and conquer: split
+    by b^(64 * 2^j) down to pieces of 64 digits, so the cost is that of a
+    few big divisions instead of quadratic in the digit count."""
+    powers = [base**_SPLIT_DIGITS]
+    while powers[-1] <= n:
+        powers.append(powers[-1] * powers[-1])
+    out: list[int] = []
+
+    def read(x, j, pad):  # x < powers[j]; pad to 64 * 2^j digits
+        if j == 0:
+            out.extend(_divmod_digits(x, base, _SPLIT_DIGITS if pad else 0))
+        elif not pad and x < powers[j - 1]:
+            read(x, j - 1, False)
+        else:
+            hi, lo = divmod(x, powers[j - 1])
+            read(lo, j - 1, True)
+            read(hi, j - 1, pad)
+
+    read(n, len(powers) - 1, False)
+    return out
+
+
+def _read_digits(n: int, base: int):
+    """Digits of n >= 0, least-significant first, as bytes (bases 2 and 10)
+    or a list: one linear pass through bin or str where it can, the split
+    elsewhere. str is refused past the int -> str digit limit, which the
+    library does not lift, so base 10 falls back to the split there."""
+    if not n:
+        return b""
+    if base == 2:
+        return bin(n)[:1:-1].encode().translate(_ASCII_DIGITS)
+    if base == 10:
+        try:
+            return str(n)[::-1].encode().translate(_ASCII_DIGITS)
+        except ValueError:
+            pass
+    if n.bit_length() <= _SPLIT_DIGITS * (base.bit_length() - 1):  # n < b^64
+        return _divmod_digits(n, base)
+    return _split_digits(n, base)
+
+
 def int_digit_sum(n: int, base: int) -> int:
-    """Digit sum of a nonnegative integer, without building an Expansion."""
+    """Digit sum of a nonnegative integer, without building an Expansion.
+
+    Not memoized: the sampler takes many one-off sums.
+    """
     check_base(base)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    s = 0
-    while n:
-        n, d = divmod(n, base)
-        s += d
-    return s
+    n = index(n)
+    if base == 2:
+        return n.bit_count()
+    return sum(_read_digits(n, base))
 
 
 @dataclass(frozen=True)
@@ -38,7 +99,7 @@ class Expansion:
 
     def __post_init__(self):
         check_base(self.base)
-        if any(not (0 <= d < self.base) for d in self.digits):
+        if self.digits and (min(self.digits) < 0 or max(self.digits) >= self.base):
             raise ValueError(f"digit out of range for base {self.base}")
         if self.digits and self.digits[-1] == 0:
             raise ValueError("non-canonical expansion: most-significant digit is 0")
@@ -68,15 +129,24 @@ def digits_value(msb, base: int) -> int:
 
 
 def expand(n: int, base: int) -> Expansion:
-    """Canonical expansion of a nonnegative integer."""
+    """Canonical expansion of a nonnegative integer.
+
+    Memoized: callers that read the same r share one frozen Expansion.
+    """
     check_base(base)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    ds = []
-    while n:
-        n, d = divmod(n, base)
-        ds.append(d)
-    return Expansion(base, tuple(ds))
+    return _expansion(n, base)
+
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _expansion(n: int, base: int) -> Expansion:
+    # typed: an np.int64 or bool n gets its own entry, not another type's.
+    # The digits are in range by construction, so Expansion's check is skipped.
+    n = index(n)
+    e = object.__new__(Expansion)
+    vars(e).update(base=base, digits=tuple(_read_digits(n, base)))
+    return e
 
 
 def drift(n: int, r: int, base: int) -> int:
@@ -161,9 +231,17 @@ def decompose_blocks(e: Expansion) -> BlockDecomposition:
 
 
 def rho_lambda(r: int, base: int) -> tuple[int, int]:
-    """Block counts (rho, lambda) of a nonzero integer."""
-    dec = decompose_blocks(expand(r, base))
-    return dec.rho, dec.lam
+    """Block counts (rho, lambda) of a nonzero integer, as decompose_blocks
+    counts them: each run of 0's or of (b-1)'s is one block, each other
+    digit one block of its own. Runs read the same from either end."""
+    ds = expand(r, base).digits
+    if not ds:
+        raise ZeroHasNoBlocks("r = 0 has an empty expansion")
+    top = base - 1
+    singles = len(ds) - ds.count(0) - ds.count(top)
+    runs = [d for d, _ in groupby(ds)]
+    maxes = runs.count(top)
+    return runs.count(0) + maxes + singles, maxes + singles
 
 
 def reverse_expansion(e: Expansion) -> Expansion:

@@ -7,7 +7,9 @@ out, n's digits so far below m's) takes their histograms up the chunks.
 Tower counts become exact interval enclosures of the atom masses. This is
 the anti-bug oracle for the exact recursion: the two sides share no code,
 and each chunk below the top one enumerates at least 2^12 values, so the
-count is not the exact one-digit recursion written as counting.
+count is not the exact one-digit recursion written as counting. The oracle
+reads digits with its own divmod loop, so a wrong fast path in
+digits.expand or digits.int_digit_sum cannot cancel out in check_enclosures.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digits import check_base, expand, int_digit_sum
+from .digits import check_base
 from .errors import LevelTooLarge, LevelTooSmall, TableTooLarge
 from .exactdist import (
     DriftDistribution,
@@ -29,6 +31,15 @@ from .exactdist import (
 _CHUNK = 2**12  # each chunk of the count below the top one enumerates at least this many values
 MAX_LEVEL = 1000  # highest tower level counted; see tower_counts
 MAX_TOWER_VALUES = 2**24  # most chunk values a tower count enumerates; see tower_counts
+
+
+def _digits(n: int, base: int) -> list[int]:
+    """Base-b digits of n >= 0, least-significant first."""
+    ds = []
+    while n:
+        n, d = divmod(n, base)
+        ds.append(d)
+    return ds
 
 
 def digit_sum_table(limit: int, base: int) -> np.ndarray:
@@ -45,7 +56,7 @@ def digit_sum_table(limit: int, base: int) -> np.ndarray:
             "table limit too large: more than 2**30 entries, "
             "and counting over it would need several GB of memory"
         )
-    max_sum = (base - 1) * expand(limit - 1, base).digit_count()
+    max_sum = (base - 1) * len(_digits(limit - 1, base))
     table = np.zeros(limit, dtype=np.min_scalar_type(max_sum))
     block = 1
     while block < limit:
@@ -65,7 +76,7 @@ def _chunk_moves(table, base, width, r_i, m_i, span, c):
     digits: (carry out, below m_i, carry histogram) for x != m_i, (carry out,
     carries) at m_i. (b-1) * carries = s(x) + s(r_i) + c - s(v mod b^width) - out."""
     carries = table[:span].astype(np.promote_types(table.dtype, np.min_scalar_type(-base)))
-    carries += int_digit_sum(r_i, base) + c  # a signed type one size up holds each sum
+    carries += sum(_digits(r_i, base)) + c  # a signed type one size up holds each sum
     cut = min(base**width - r_i - c, span)  # x from cut up carries out of the chunk
     carries[:cut] -= table[r_i + c : r_i + c + cut]
     carries[cut:] -= table[: span - cut]
@@ -97,11 +108,11 @@ def _carry_counts(r: int, base: int, m: int) -> np.ndarray:
     if not r or not m:
         return np.array([m], dtype=np.int64)  # no carries, or nothing counted
     # below m + r no digit sum beats last's or last's top digit less one over b-1's
-    last = expand(m + r - 1, base).digits
+    last = _digits(m + r - 1, base)
     top_sum = max(sum(last), last[-1] - 1 + (base - 1) * (len(last) - 1))
-    kmax = (top_sum + int_digit_sum(r, base)) // (base - 1) + 2
+    kmax = (top_sum + sum(_digits(r, base))) // (base - 1) + 2
     dtype = np.int64 if m + r < 2**63 else object  # no count passes max(m, b^(W-1))
-    top = expand(m + r, base).digit_count()
+    top = len(_digits(m + r, base))
     w = _chunk_width(base)
     table = digit_sum_table(min(base**w, m + r + 1), base)  # serves every chunk
     states = np.zeros((2, 2, top + 1), dtype)  # [carry out, below m, carries]
@@ -147,7 +158,7 @@ def empirical_density(r: int, base: int, n: int) -> dict[int, Fraction]:
         raise ValueError("n must be >= 1")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    width = expand(n + r, base).digit_count()
+    width = len(_digits(n + r, base))
     values = _chunk_values(base, width)
     if values > MAX_TOWER_VALUES:
         raise TableTooLarge(
@@ -155,7 +166,7 @@ def empirical_density(r: int, base: int, n: int) -> dict[int, Fraction]:
             f"{values} chunk values, more than {MAX_TOWER_VALUES}"
         )
     counts = _carry_counts(r, base, n)
-    s_r = int_digit_sum(r, base)
+    s_r = sum(_digits(r, base))
     return {
         s_r - k * (base - 1): Fraction(int(c), n)
         for k, c in enumerate(counts)
@@ -203,7 +214,7 @@ def tower_enclosure(
     """Exact interval [c/b^(l+1), (c+r)/b^(l+1)] guaranteed to contain the
     atom mass at d."""
     counts, _, total = tower_counts(r, base, level)
-    lo, hi = _enclosure_numerators(counts, r, int_digit_sum(r, base), base, d)
+    lo, hi = _enclosure_numerators(counts, r, sum(_digits(r, base)), base, d)
     return Fraction(lo, total), Fraction(hi, total)
 
 
@@ -225,7 +236,7 @@ def check_enclosures(dist: DriftDistribution, level: int) -> list[EnclosureViola
     denominator."""
     r, base = dist.r, dist.base
     counts, _, total = tower_counts(r, base, level)
-    violations, s_r = [], int_digit_sum(r, base)
+    violations, s_r = [], sum(_digits(r, base))
     nums, den = dist._numerators
     for k, n in enumerate(nums):
         if n * 10**9 <= den:

@@ -15,7 +15,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from digitdrift import mixing, odometer
-from digitdrift.cli import _verify_r_values, main, parse_r, pattern_family, UsageError
+from digitdrift.cli import _prefix_strs, _verify_r_values, main, parse_r, pattern_family, UsageError
+from digitdrift.digits import block_prefix_integers, decompose_blocks, expand
 from digitdrift.odometer import MAX_CELLS, MAX_SAMPLES
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mixing.__file__)))
@@ -206,6 +207,17 @@ def test_blocks(capsys):
     assert "0, 5000000, 5900000, 5900990, 5900991" in out
     code, _, _ = run_cli(capsys, "blocks", "0", "--base", "10")
     assert code == 2
+
+
+@given(
+    st.integers(1, 10**60),
+    st.one_of(st.sampled_from([2, 3, 10, 16]), st.integers(2, 2**62)),
+    st.integers(0, 40),
+)
+@example(10**60 - 1, 10, 0)
+def test_prefix_strs_print_the_prefix_integers(r, b, shift):
+    e = expand(r * b**shift, b)
+    assert _prefix_strs(decompose_blocks(e)) == [str(t) for t in block_prefix_integers(e)]
 
 
 def test_verify_range_is_lazy():

@@ -1,7 +1,12 @@
+import inspect
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from digitdrift import digits
 from digitdrift.digits import (
     Block,
     BlockKind,
@@ -14,6 +19,7 @@ from digitdrift.digits import (
     expand,
     int_digit_sum,
     reverse_expansion,
+    rho_lambda,
 )
 from digitdrift.errors import InvalidBase, ZeroHasNoBlocks
 
@@ -59,6 +65,80 @@ def test_expansion_rejects_non_canonical():
         Expansion(2, (1, 0))
     with pytest.raises(ValueError):
         Expansion(2, (2,))
+    with pytest.raises(ValueError):
+        Expansion(10, (-1, 1))
+
+
+@pytest.fixture
+def fresh_memo():
+    digits._expansion.cache_clear()
+    yield
+    digits._expansion.cache_clear()
+
+
+@st.composite
+def base_and_n(draw):
+    """A base in 2..2^62 and n from 0, small values, or next to b^64 and
+    b^128, where the reader switches from one divmod loop to the split."""
+    b = draw(st.one_of(st.sampled_from([2, 3, 10, 16, 2**62]), st.integers(2, 2**62)))
+    n = draw(
+        st.one_of(
+            st.just(0),
+            st.integers(0, 2**256),
+            st.builds(
+                lambda k, delta: max(b**k + delta, 0),
+                st.sampled_from([digits._SPLIT_DIGITS, 2 * digits._SPLIT_DIGITS]),
+                st.integers(-3, 3),
+            ),
+            st.integers(0, b**300),
+        )
+    )
+    return b, n
+
+
+@given(base_and_n())
+def test_reader_matches_divmod_loop(bn):
+    b, n = bn
+    digits._expansion.cache_clear()
+    assert expand(n, b).digits == naive_digits(n, b)
+    assert int_digit_sum(n, b) == sum(naive_digits(n, b))
+
+
+def test_reader_around_split_threshold(fresh_memo):
+    for b in (3, 7, 16, 2**62):
+        for k in (digits._SPLIT_DIGITS, 2 * digits._SPLIT_DIGITS, 5 * digits._SPLIT_DIGITS):
+            for n in (b**k - 1, b**k, b**k + 1, b ** (k + 1) - 1):
+                assert expand(n, b).digits == naive_digits(n, b)
+                assert int_digit_sum(n, b) == sum(naive_digits(n, b))
+
+
+def test_reader_past_int_str_limit(fresh_memo):
+    # 5001 decimal digits with Python's int <-> str limit in force: the
+    # library does not lift it, so base 10 must read past it without str
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        n = 10**5000 + 7 * 10**2500 + 7
+        assert expand(n, 10).digits == naive_digits(n, 10)
+        assert int_digit_sum(n, 10) == 15
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("b", [2, 7, 10, 2**62])
+def test_expand_of_numpy_int_gives_python_ints(fresh_memo, b):
+    n = 2**62 + 12345
+    first = expand(np.int64(n), b)
+    second = expand(n, b)
+    assert first.digits == second.digits == naive_digits(n, b)
+    assert all(type(d) is int for d in first.digits + second.digits)
+    assert expand(True, b).digits == (1,)
+
+
+def test_expand_is_memoized_and_traceable():
+    # the benchmark tracer wraps only plain functions
+    assert inspect.isfunction(digits.expand)
+    assert expand(5900991, 10) is expand(5900991, 10)
 
 
 @given(st.integers(0, 2**256), st.sampled_from(BASES))
@@ -146,6 +226,17 @@ def test_decompose_single_run():
 def test_decompose_rejects_zero():
     with pytest.raises(ZeroHasNoBlocks):
         decompose_blocks(expand(0, 2))
+
+
+@given(st.integers(1, 10**40), st.one_of(st.sampled_from(BASES), st.integers(2, 2**62)))
+def test_rho_lambda_counts_the_blocks(r, b):
+    dec = decompose_blocks(expand(r, b))
+    assert rho_lambda(r, b) == (dec.rho, dec.lam)
+
+
+def test_rho_lambda_rejects_zero():
+    with pytest.raises(ZeroHasNoBlocks):
+        rho_lambda(0, 10)
 
 
 @given(st.integers(1, 10**40), st.sampled_from(BASES))

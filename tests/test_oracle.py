@@ -426,3 +426,20 @@ def test_cesaro_convergence_two_decades():
         d4 = cesaro_check(29, 2, 10**4, f).distance
         d6 = cesaro_check(29, 2, 10**6, f).distance
         assert d6 * 5 <= d4 or d6 == 0
+
+
+@pytest.mark.parametrize("r, base, level", [(118, 2, 12), (5900991, 10, 8), (1234, 3, 9)])
+def test_oracle_reads_digits_itself(monkeypatch, r, base, level):
+    # a wrong fast reader in digits (it reads n + 1) corrupts the exact side
+    # only, so the certificate must catch it
+    from digitdrift import digits
+
+    read = digits._read_digits
+    assert check_enclosures(distribution(r, base), level) == []
+    monkeypatch.setattr(digits, "_read_digits", lambda n, b: read(n + 1, b))
+    digits._expansion.cache_clear()
+    try:
+        assert check_enclosures(distribution(r, base), level)
+    finally:
+        monkeypatch.undo()
+        digits._expansion.cache_clear()

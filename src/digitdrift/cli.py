@@ -16,13 +16,12 @@ import os
 import random
 import sys
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
 from . import cltdiag, exactdist, mixing, odometer, oracle
-from .digits import BlockKind, decompose_blocks, digits_value, expand
-from .digits import check_base, reverse_expansion, rho_lambda
+from .digits import _block_prefixes, check_base, decompose_blocks, digits_value, expand
+from .digits import reverse_expansion, rho_lambda
 from .errors import DigitDriftError
 
 EXIT_OK = 0
@@ -160,23 +159,6 @@ def cmd_dist(args) -> int:
 # --- blocks ------------------------------------------------------------------
 
 
-def _prefix_strs(dec) -> list[str]:
-    """str() of each of digits.block_prefix_integers, summed block by block
-    in exact Decimal arithmetic: each sum and print is linear in the digit
-    count, where str() of a big int is quadratic (60 s for the 16821
-    prefixes of a 30000-digit base-3 r on a 2-core VM, against 1 s)."""
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
-    b, power, at, values = dec.base, ctx.create_decimal(1), 0, []
-    for blk in reversed(dec.blocks):  # lsb first, power = b**at
-        if blk.kind is BlockKind.ZERO:
-            continue
-        power = ctx.multiply(power, ctx.power(b, blk.position - at))
-        at = blk.position
-        run = ctx.subtract(ctx.power(b, blk.length), 1) if blk.kind is BlockKind.MAX else blk.digit
-        values.append(ctx.multiply(run, power))
-    return ["0", *map(str, accumulate(reversed(values), ctx.add))]
-
-
 def cmd_blocks(args) -> int:
     r = parse_r(args.r, args.base, args.radix_input)
     if r < 1:
@@ -190,8 +172,15 @@ def cmd_blocks(args) -> int:
             f"  {blk.kind.value:<7s} digit={blk.digit} length={blk.length} "
             f"lsb_position={blk.position}"
         )
-    print("prefix integers:", ", ".join(_prefix_strs(dec)))
-    print(f"reverse(r) = {reverse_expansion(e).value()}")
+    # exact Decimal sums, printed one at a time: str() of a big int is
+    # quadratic, and a line of all the prefixes would be held at once
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        prefixes = _block_prefixes(dec, decimal.Decimal(1))
+        print("prefix integers:", next(prefixes), end="")
+        for t in prefixes:
+            print(",", t, end="")
+    print(f"\nreverse(r) = {reverse_expansion(e).value()}")
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import index
 
 from .errors import InvalidBase, ZeroHasNoBlocks
@@ -180,10 +180,14 @@ class Block:
     length: int
     position: int  # lsb index of the block's least-significant digit
 
+    def run(self, B):
+        """The block's digits as a number at position 0, in the type of the
+        base B: B**length - 1 for a run of (b-1)'s, else the digit."""
+        return B**self.length - 1 if self.kind is BlockKind.MAX else self.digit
+
     def value(self, base: int) -> int:
         """Integer contribution of this block inside the full expansion."""
-        run = self.digit * (base**self.length - 1) // (base - 1)
-        return run * base**self.position
+        return self.run(base) * base**self.position
 
 
 @dataclass(frozen=True)
@@ -255,17 +259,22 @@ def reverse_expansion(e: Expansion) -> Expansion:
     return Expansion(e.base, tuple(ds))
 
 
+def _block_prefixes(dec: BlockDecomposition, one):
+    """0, t_1, ..., t_lam = r in the type of one, t_i keeping the first i
+    nonzero blocks: their values from one lsb-first walk with a running
+    power, summed msb first as the iterator is read, each step linear in the
+    digit count. Decimal steps take the context current when they run."""
+    B = one * dec.base
+    power, at, values = one, 0, []
+    for blk in reversed(dec.blocks):  # lsb first, power = B**at
+        if blk.kind is not BlockKind.ZERO:
+            power *= B ** (blk.position - at)
+            at = blk.position
+            values.append(blk.run(B) * power)
+    return accumulate(reversed(values), initial=0 * one)
+
+
 def block_prefix_integers(e: Expansion) -> list[int]:
     """Partial integers keeping the first i nonzero blocks (left to right)
-    and zeroing the rest; index 0 is 0 and the last entry is value(e).
-    """
-    dec = decompose_blocks(e)
-    b = e.base
-    prefixes = [0]
-    acc = 0
-    for blk in dec.blocks:
-        if blk.kind is BlockKind.ZERO:
-            continue
-        acc += blk.value(b)
-        prefixes.append(acc)
-    return prefixes
+    and zeroing the rest; index 0 is 0 and the last entry is value(e)."""
+    return list(_block_prefixes(decompose_blocks(e), 1))

@@ -13,8 +13,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .digits import BlockKind, block_prefix_integers, check_base, decompose_blocks, expand
-from .digits import int_digit_sum
+from .digits import BlockKind, _block_prefixes, block_prefix_integers, check_base
+from .digits import decompose_blocks, expand, int_digit_sum
 from .errors import InsufficientSamples
 from .exactdist import DriftDistribution, distribution
 from .odometer import carry_counts, sample_digit_matrix, sample_drift
@@ -65,15 +65,18 @@ def process_matrix(r: int, base: int, n_samples: int, seed: int) -> np.ndarray:
 def process_from_digits(X: np.ndarray, r: int, base: int) -> np.ndarray:
     """process_matrix values of r on each row of a sample_digit_matrix(r, ...),
     in the same memory order: a view of the block-major array."""
-    prefixes = block_prefix_integers(expand(r, base))
+    dec = decompose_blocks(expand(r, base))
     # X_i = s(t_i) - s(t_(i-1)) - (b-1) * (carries of x + t_i less those of
     # x + t_(i-1)), with t_0 = 0 carrying nowhere. The M columns hold every
     # carry: x + t_i <= x + r < b^M on this matrix, so none leaves the top
-    V, _ = carry_counts(X.T, prefixes[1:], base)
+    V, _ = carry_counts(X.T, [*_block_prefixes(dec, 1)][1:], base)
     for i in range(len(V) - 1, 0, -1):  # np.diff, in place
         V[i] -= V[i - 1]
     V *= 1 - base
-    V += np.diff([int_digit_sum(t, base) for t in prefixes])[:, None]
+    # s(t_i) - s(t_(i-1)) is block i's digit sum, digit * length; it fits in
+    # int64 once carry_counts has accepted the base
+    sums = [blk.digit * blk.length for blk in dec.blocks if blk.kind is not BlockKind.ZERO]
+    V += np.array(sums)[:, None]
     wide = V.size and (V.min() < -(2**15) or V.max() >= 2**15)
     return V.astype(np.int64 if wide else np.int16).T
 
@@ -85,11 +88,8 @@ def block_laws(r: int, base: int) -> list[DriftDistribution]:
     not change the law), so the marginal is the drift distribution of that
     run alone.
     """
-    values = [
-        blk.value(base) // base**blk.position
-        for blk in decompose_blocks(expand(r, base)).blocks
-        if blk.kind is not BlockKind.ZERO
-    ]
+    blocks = decompose_blocks(expand(r, base)).blocks
+    values = [blk.run(base) for blk in blocks if blk.kind is not BlockKind.ZERO]
     laws = {v: distribution(v, base) for v in set(values)}
     return [laws[v] for v in values]
 

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from digitdrift import mixing, odometer
-from digitdrift.cli import _prefix_strs, _verify_r_values, main, parse_r, pattern_family, UsageError
-from digitdrift.digits import block_prefix_integers, decompose_blocks, expand
+from digitdrift.cli import _verify_r_values, main, parse_r, pattern_family, UsageError
+from digitdrift.digits import BlockKind, block_prefix_integers, decompose_blocks, expand
 from digitdrift.odometer import MAX_CELLS, MAX_SAMPLES
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mixing.__file__)))
@@ -186,7 +187,9 @@ CLI_STDOUT = json.loads((Path(__file__).parent / "data" / "cli_stdout_pinned.jso
 def test_cli_stdout_is_pinned(capsys, tmp_path, command):
     # stdout recorded while every consumer still read the law as one
     # Fraction per atom: dist in all three formats (r = 0, 1, bases 2, 10,
-    # 200 and 3 * 2**60), cold and then warm from the cache, and verify
+    # 200 and 3 * 2**60), cold and then warm from the cache, and verify.
+    # blocks (bases 2, 10, 16 and 3 * 2**60, and a 5000-digit r) was
+    # recorded while each consumer still worked out r's blocks on its own
     argv = command.split()
     runs = 2 if argv[0] == "dist" else 1
     if argv[0] == "dist":
@@ -216,8 +219,51 @@ def test_blocks(capsys):
 )
 @example(10**60 - 1, 10, 0)
 def test_prefix_strs_print_the_prefix_integers(r, b, shift):
-    e = expand(r * b**shift, b)
-    assert _prefix_strs(decompose_blocks(e)) == [str(t) for t in block_prefix_integers(e)]
+    # blocks prints the Decimal walk and block_prefix_integers returns the int
+    # one; the reference sums each nonzero block's value on its own
+    n = r * b**shift
+    e = expand(n, b)
+    values = [blk.value(b) for blk in decompose_blocks(e).blocks if blk.kind is not BlockKind.ZERO]
+    want = list(accumulate(values, initial=0))
+    assert block_prefix_integers(e) == want
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["blocks", str(n), "--base", str(b)]) == 0
+    assert f"\nprefix integers: {', '.join(map(str, want))}\n" in out.getvalue()
+
+
+HUGE3_BLOCKS_SHA256 = "800b33b9f5b849e07c4ffd22cb8aafab0f9857b03f5cc356877f7f9148cde4d2"
+
+
+def test_blocks_streams_its_prefix_integers():
+    # the 30000-digit base-3 r that CI runs: 16821 prefix integers, 240 MB of
+    # stdout. Printed one at a time, the process stays near its Decimal block
+    # values; a line of all the prefixes at once peaked at 551 MB. The child
+    # hashes its own stdout and reports its own peak RSS in KiB: VmHWM, since
+    # ru_maxrss keeps the RSS of the process that forked it across exec
+    script = (
+        "import hashlib, io, random, sys\n"
+        "from digitdrift.cli import main\n"
+        "g = random.Random(3)\n"
+        "r = '1' + ''.join(str(g.randrange(3)) for _ in range(29999))\n"
+        "class Sha(io.TextIOBase):\n"
+        "    sha = hashlib.sha256()\n"
+        "    def write(self, s):\n"
+        "        self.sha.update(s.encode())\n"
+        "        return len(s)\n"
+        "out, sys.stdout = sys.stdout, Sha()\n"
+        "code = main(['blocks', r, '--radix-input', '--base', '3'])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    hwm = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+        "out.write(f'{code} {Sha.sha.hexdigest()} {hwm}')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+    )
+    code, sha, peak_kib = proc.stdout.split()
+    assert (code, sha) == ("0", HUGE3_BLOCKS_SHA256)
+    assert int(peak_kib) < 200 * 1024
 
 
 def test_verify_range_is_lazy():

@@ -342,8 +342,9 @@ def cmd_simulate(args) -> int:
     if args.process:
         X = mixing.process_from_digits(digits, r, args.base)
         totals = X.sum(axis=1)
-        same = bool(np.array_equal(np.sort(totals), np.sort(delta)))
         exact_match = bool(np.all(totals == delta))
+        # equal draw by draw is equal as multisets
+        same = exact_match or bool(np.array_equal(np.sort(totals), np.sort(delta)))
         print(f"process: lambda = {X.shape[1]}, sum(X_i) == delta for all samples: {exact_match}")
         print(f"process totals histogram identical to drift histogram: {same}")
         means = X.mean(axis=0)

@@ -231,7 +231,7 @@ def estimate_phi(r: int, base: int, k: int, p: int, X: np.ndarray) -> PhiEstimat
     Xt, gap = X.T, p + k - 1
     A = _side_events(Xt[:p], medians[:p], modes[:p])
     B = _side_events(Xt[gap:], medians[gap:], modes[gap:])
-    count_a = np.count_nonzero(A, axis=1)
+    count_a = np.add.reduce(A, axis=1, dtype=np.intp)
     keep = count_a >= MIN_EVENT_HITS
     if not keep.any():
         raise InsufficientSamples(
@@ -239,7 +239,7 @@ def estimate_phi(r: int, base: int, k: int, p: int, X: np.ndarray) -> PhiEstimat
         )
     A = A[keep]
     count_a = count_a[keep]
-    count_b = np.count_nonzero(B, axis=1)
+    count_b = np.add.reduce(B, axis=1, dtype=np.intp)
     # pair counts summed over sample slices: each partial sum is an integer
     # below 2**53, so the float64 total is exact
     count_ab = np.zeros((len(A), len(B)))

@@ -100,9 +100,11 @@ def sample_digit_matrix(
     (n_samples, M) matrix with contiguous columns (the transpose of a
     position-major array), in rng.digit_block's dtype.
 
-    Columns past a row's own propagation depth are still drawn (they are
-    keyed by position, so values match the lazy scalar path); no carry of
-    x + r reaches them.
+    Row i holds the digits that sample_drift(LazyBadicSample(base, seed,
+    first_index + i), r) realizes, always at least the first max(L, 1),
+    and zeros past them. A column past r's L digits is drawn only for the
+    rows whose carry reaches it: those still carrying out of the column
+    before, whose digit there is b - 1.
     """
     check_base(base)
     if n_samples > MAX_SAMPLES:
@@ -114,16 +116,21 @@ def sample_digit_matrix(
         )
     _check_int64(base, L)
     keys = rng.sample_keys(seed, n_samples, first_index)
-    cols = [rng.digit_block(keys, base, range(L)).T]
-    _, pending = carry_counts(cols[0], (r,), base)
-    j = L
-    while pending.any():
-        if j >= L + PROPAGATION_CAP:
+    head = rng.digit_block(keys, base, range(L)).T
+    _, pending = carry_counts(head, (r,), base)
+    rows = np.flatnonzero(pending)
+    tail = []  # (rows, digits) of each column past the head
+    while rows.size:
+        if len(tail) >= PROPAGATION_CAP:
             raise PropagationCapExceeded(f"batch propagation exceeded cap {PROPAGATION_CAP}")
-        cols.append(rng.digit_block(keys, base, [j]).T)
-        pending &= cols[-1][0] == base - 1
-        j += 1
-    return np.vstack(cols).T
+        col = rng.digit_block(keys[rows], base, [L + len(tail)])[:, 0]
+        tail.append((rows, col))
+        rows = rows[col == base - 1]
+    Xt = np.zeros((L + len(tail), n_samples), dtype=head.dtype)
+    Xt[:L] = head
+    for j, (rows, col) in enumerate(tail, L):
+        Xt[j, rows] = col
+    return Xt.T
 
 
 def _check_int64(base: int, width: int) -> None:

@@ -94,19 +94,17 @@ def digit_block(keys: np.ndarray, base: int, positions) -> np.ndarray:
         # faster than the remainder ufunc
         np.floor_divide(w, b, out=tmp)
         tmp *= b
-        np.subtract(w, tmp, out=tmp)
-        row[:] = tmp
-        if rem:
+        np.subtract(w, tmp, out=row, casting="unsafe")
+        if rem and w.max(initial=0) >= limit:
             # rejection keeps the law exactly uniform
             bad = np.flatnonzero(w >= limit)
-            if bad.size:
-                v = _mix64_np(keys[bad] + offset, np.empty(bad.size, np.uint64))
-                attempt = 0
-                while bad.size:
-                    attempt += 1
-                    w2 = v + (attempt * _GOLD & _MASK)
-                    _mix64_np(w2, np.empty_like(w2))
-                    row[bad] = w2 % b
-                    keep = w2 >= limit
-                    bad, v = bad[keep], v[keep]
+            v = _mix64_np(keys[bad] + offset, np.empty(bad.size, np.uint64))
+            attempt = 0
+            while bad.size:
+                attempt += 1
+                w2 = v + (attempt * _GOLD & _MASK)
+                _mix64_np(w2, np.empty_like(w2))
+                row[bad] = w2 % b
+                keep = w2 >= limit
+                bad, v = bad[keep], v[keep]
     return out.T

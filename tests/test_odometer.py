@@ -63,16 +63,53 @@ def test_scalar_digits_match_vector_block():
                         assert X[i, c] == rng.digit_at(99, first_index + i, j, base)
 
 
+def realized_digits(r, base, seed, index):
+    """The digits sample_drift realizes on the lazy sample, lowest first."""
+    s = LazyBadicSample(base, seed=seed, index=index)
+    sample_drift(s, r)
+    return s._digits
+
+
 def test_digit_matrix_matches_scalar_reference_with_widening():
     # r = 3**6 - 1 carries out of its 6 digits for every x but 0, so rows
-    # widen column by column while the next digit is 2
-    r, base, n = 3**6 - 1, 3, 300
-    for first_index in (0, 1000):
-        X = sample_digit_matrix(r, base, n, 11, first_index)
-        assert X.shape[1] > 6 + 3
-        for i in range(n):
-            for j in range(X.shape[1]):
-                assert X[i, j] == rng.digit_at(11, first_index + i, j, base)
+    # widen column by column while the next digit is 2. Row i holds the
+    # digits the lazy sample realizes (at least max(L, 1)), then zeros
+    cases = [(3**6 - 1, 3), (0, 2), (5900991, 10), (int("10" * 16, 2), 2), (200 * 257**2 + 5, 257)]
+    for r, base in cases:
+        L = max(len(expand(r, base).digits), 1)
+        for first_index in (0, 1000):
+            X = sample_digit_matrix(r, base, 300, 11, first_index)
+            assert X.shape[1] >= L
+            for i in range(300):
+                got = realized_digits(r, base, 11, first_index + i)
+                got += [rng.digit_at(11, first_index + i, j, base) for j in range(len(got), L)]
+                assert X[i].tolist() == got + [0] * (X.shape[1] - len(got)), (r, base, i)
+    assert sample_digit_matrix(3**6 - 1, 3, 300, 11).shape[1] > 6 + 3
+
+
+def test_digit_matrix_widening_draws_only_carrying_rows(monkeypatch):
+    # each column past r's digits is drawn for exactly the rows whose carry
+    # reaches it, and the loop stops when none is left
+    r, base, n, seed = 3**6 - 1, 3, 2000, 5
+    L = len(expand(r, base).digits)
+    calls = []
+    real = rng.digit_block
+
+    def spy(keys, base, positions):
+        calls.append((keys.copy(), list(positions)))
+        return real(keys, base, positions)
+
+    monkeypatch.setattr(rng, "digit_block", spy)
+    X = sample_digit_matrix(r, base, n, seed)
+    keys = rng.sample_keys(seed, n)
+    assert calls[0][1] == list(range(L)) and np.array_equal(calls[0][0], keys)
+    reach = [i for i in range(n) if len(realized_digits(r, base, seed, i)) > L]
+    assert len(calls) == X.shape[1] - L + 1
+    for j, (got, positions) in enumerate(calls[1:], L):
+        assert positions == [j]
+        assert np.array_equal(got, keys[reach])
+        reach = [i for i in reach if X[i, j] == base - 1]
+    assert reach == []
 
 
 def test_digit_block_memory_is_output_plus_linear():
@@ -173,12 +210,18 @@ def test_digit_matrix_wide_enough():
 
 def scripted_digit_block(rows):
     """A stand-in for rng.digit_block that serves sample i the digits
-    rows[i] (zeros past their end), in digit_block's dtype and layout."""
+    rows[i] (zeros past their end), in digit_block's dtype and layout. It
+    finds each key's sample in the keys of seed 0, so it serves any subset
+    of the samples."""
+    sample_of = {int(k): i for i, k in enumerate(rng.sample_keys(0, len(rows)))}
 
     def digit_block(keys, base, positions):
-        assert len(keys) == len(rows)
-        out = [[row[j] if j < len(row) else 0 for j in positions] for row in rows]
-        return np.asfortranarray(np.array(out, dtype=np.min_scalar_type(base - 1)))
+        out = [
+            [row[j] if j < len(row) else 0 for j in positions]
+            for row in (rows[sample_of[int(k)]] for k in keys)
+        ]
+        dtype = np.min_scalar_type(base - 1)
+        return np.asfortranarray(np.array(out, dtype=dtype).reshape(len(keys), len(positions)))
 
     return digit_block
 

@@ -470,11 +470,7 @@ def cmd_phi(args) -> int:
         )
     X = mixing.process_matrix(r, args.base, args.samples, args.seed)
     # every estimate before any output, so an error leaves stdout empty
-    ests = [
-        mixing.estimate_phi(r, args.base, k, p, X)
-        for k in ks
-        for p in ps
-    ]
+    ests = mixing.estimate_phi_grid(r, args.base, ks, ps, X)
     print("r,base,k,p,family_id,estimate,ci,bound,violated")
     for est in ests:
         print(

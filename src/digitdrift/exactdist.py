@@ -25,6 +25,7 @@ from math import isqrt
 
 import numpy as np
 
+from ._heap import prime_heap
 from .digits import check_base, expand, int_digit_sum, rho_lambda
 from .errors import (
     CacheUnwritable,
@@ -162,9 +163,6 @@ def check_atom_cutoff(K: int, digit_count: int, base: int) -> None:
 # the packed carry walk widens its slots in stretches of at least this many
 # bits of b**i; r below that keeps one slot width for its whole walk
 _STRETCH_BITS = 256
-# the cap on the walk's allocator priming: glibc lifts its mmap threshold
-# only to a freed block of at most 32 MB
-_PRIMED_BYTES = 2**24
 
 
 def _slot_bits(bound: int) -> int:
@@ -230,13 +228,10 @@ def _carry_numerators(r: int, base: int, K: int) -> tuple[list[int], int]:
     L = len(digits)
     check_atom_cutoff(K, L, b)
     floor = max(1, int(_STRETCH_BITS / math.log2(b)))  # digits per stretch, at least
-    # glibc serves a block past its mmap threshold (128 KB at start) from
-    # fresh pages and raises the threshold only to the size of such a block
-    # once it is freed, so integers that grow by one slot per digit would
-    # each fault in fresh zeroed pages (a quarter of the wall time of a
-    # 2000-digit walk in base 10). Freeing one block four times the walk's
-    # largest integer first lifts the threshold past all of them.
-    bytes(min(4 * (min(L, K) + 2) * _slot_bits(b**L) // 8, _PRIMED_BYTES))
+    # integers that grow by one slot per digit would each fault in fresh
+    # pages (a quarter of the wall time of a 2000-digit walk in base 10):
+    # a block four times the walk's largest integer primes the heap for them
+    prime_heap(4 * (min(L, K) + 2) * _slot_bits(b**L) // 8)
     P, Q, w, i = 1, 0, 8, 0  # p = 1, q = 0 in one 8-bit slot (all of r = 0)
     while i < L:
         end = min(L, i + max(floor, i // 4))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import ClassVar
 
 import numpy as np
@@ -22,9 +23,6 @@ from .odometer import carry_counts, sample_digit_matrix, sample_drift
 # Wilson score z for 99.9% two-sided confidence.
 WILSON_Z = 3.290526731491926
 MIN_EVENT_HITS = 50
-# samples per slice of estimate_phi's pair counts; it bounds the float64
-# copies of the event matrices
-_PAIR_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -185,73 +183,114 @@ class PhiEstimate:
         return self.estimate - self.ci > self.bound
 
 
-def _side_events(rows: np.ndarray, medians: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """Boolean event rows for one side of the gap, one sample per column.
+def _event_table(Xt: np.ndarray, medians: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """The four one-block events of every block, bit-packed: a (lambda, 4,
+    words) uint64 table whose row [i, e] holds event e of block i, one bit
+    per sample in np.packbits' little bit order, padding bits zero.
 
-    rows holds the side's blocks, one per row, and medians[i], modes[i] are
-    the exact median and mode of block i's law. Four one-block events per
-    block (>= median, == mode, <= -1, == 0), block-major; then, when the
-    side has at least two blocks, the 16 intersections of the first and
-    last block's events, the first block's event major.
+    Xt holds one block per row and medians[i], modes[i] are the exact
+    median and mode of block i's law; the events are >= median, == mode,
+    <= -1 and == 0. Blocks are packed one at a time, so the bool
+    temporaries take 4 bytes per sample.
     """
-    four = np.stack(
-        [rows >= medians[:, None], rows == modes[:, None], rows <= -1, rows == 0], axis=1
-    )
-    events = [four.reshape(-1, rows.shape[1])]
-    if len(rows) >= 2:
-        events.append((four[0][:, None] & four[-1]).reshape(16, -1))
-    return np.concatenate(events)
+    lam, n = Xt.shape
+    table = np.zeros((lam, 4, -(-n // 64)), dtype=np.uint64)
+    flat = table.view(np.uint8)
+    four = np.empty((4, n), dtype=bool)
+    for i, row in enumerate(Xt):
+        np.greater_equal(row, medians[i], out=four[0])
+        np.equal(row, modes[i], out=four[1])
+        np.less_equal(row, -1, out=four[2])
+        np.equal(row, 0, out=four[3])
+        packed = np.packbits(four, axis=1, bitorder="little")
+        flat[i, :, : packed.shape[1]] = packed
+    return table
+
+
+def _side_events(table: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Packed event rows of the side made of blocks lo..hi-1 of an
+    _event_table: the four one-block events per block, block-major; then,
+    when the side has at least two blocks, the 16 intersections of its
+    first and last block's events, the first block's event major.
+    """
+    rows = table[lo:hi].reshape(-1, table.shape[2])
+    if hi - lo < 2:
+        return rows
+    pairs = table[lo][:, None] & table[hi - 1][None, :]
+    return np.concatenate([rows, pairs.reshape(16, -1)])
+
+
+def _hits(rows: np.ndarray) -> np.ndarray:
+    """Samples in each packed event row."""
+    return np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
 
 
 def estimate_phi(r: int, base: int, k: int, p: int, X: np.ndarray) -> PhiEstimate:
-    """Empirical lower-bound estimate of the mixing coefficient at gap k.
+    """estimate_phi_grid at the one pair (k, p)."""
+    return estimate_phi_grid(r, base, [k], [p], X)[0]
 
-    X is a process_matrix of (r, base), one sample per row. Maximizes
-    |P_A(B) - P(B)| over the restricted event family, with A over the first
-    p blocks and B over blocks at index >= p + k. Conditioning events with
-    fewer than MIN_EVENT_HITS hits are dropped.
+
+def estimate_phi_grid(r: int, base: int, ks, ps, X: np.ndarray) -> list[PhiEstimate]:
+    """Empirical lower-bound estimates of the mixing coefficient, one per
+    (k, p), k major.
+
+    X is a process_matrix of (r, base), one sample per row. Each estimate
+    maximizes |P_A(B) - P(B)| over the restricted event family, with A
+    over the first p blocks and B over blocks at index >= p + k.
+    Conditioning events with fewer than MIN_EVENT_HITS hits are dropped.
+    The block laws, their medians and modes and the packed events are
+    built once for the whole grid.
     """
     check_base(base)
-    if k < 1 or p < 1:
+    pairs = list(product(ks, ps))
+    if any(k < 1 or p < 1 for k, p in pairs):
         raise ValueError("k and p must be >= 1")
     laws = block_laws(r, base)
     lam = len(laws)
     if X.ndim != 2 or X.shape[1] != lam:
         raise ValueError(f"X has shape {X.shape}, not (n, lambda(r) = {lam})")
     n_samples = X.shape[0]
-    bound = phi_bound(k, base)
-    if p + k > lam:
-        # no blocks left beyond the gap: trivial sigma-algebra
-        return PhiEstimate(r, base, k, p, 0.0, 0.0, bound, n_samples, 0, 0)
-    # block_laws hands out one object per distinct law: its thresholds are
-    # computed once
-    distinct = {id(law): law for law in laws}
-    cut = {key: (exact_median(law), exact_mode(law)) for key, law in distinct.items()}
-    medians, modes = np.array([cut[id(law)] for law in laws]).T
-    Xt, gap = X.T, p + k - 1
-    A = _side_events(Xt[:p], medians[:p], modes[:p])
-    B = _side_events(Xt[gap:], medians[gap:], modes[gap:])
-    count_a = np.add.reduce(A, axis=1, dtype=np.intp)
-    keep = count_a >= MIN_EVENT_HITS
-    if not keep.any():
-        raise InsufficientSamples(
-            f"every conditioning event has fewer than {MIN_EVENT_HITS} hits"
+    table = None
+    out = []
+    for k, p in pairs:
+        bound = phi_bound(k, base)
+        if p + k > lam:
+            # no blocks left beyond the gap: trivial sigma-algebra
+            out.append(PhiEstimate(r, base, k, p, 0.0, 0.0, bound, n_samples, 0, 0))
+            continue
+        if table is None:
+            # block_laws hands out one object per distinct law: its
+            # thresholds are computed once
+            distinct = {id(law): law for law in laws}
+            cut = {key: (exact_median(law), exact_mode(law)) for key, law in distinct.items()}
+            medians, modes = np.array([cut[id(law)] for law in laws]).T
+            table = _event_table(X.T, medians, modes)
+        A = _side_events(table, 0, p)
+        B = _side_events(table, p + k - 1, lam)
+        count_a = _hits(A)
+        keep = count_a >= MIN_EVENT_HITS
+        if not keep.any():
+            raise InsufficientSamples(
+                f"every conditioning event has fewer than {MIN_EVENT_HITS} hits"
+            )
+        A = A[keep]
+        count_a = count_a[keep]
+        count_b = _hits(B)
+        # exact pair counts, one A row against every B row at a time
+        count_ab = np.empty((len(A), len(B)), dtype=np.intp)
+        both = np.empty_like(B)
+        for row, a in zip(count_ab, A):
+            np.bitwise_and(B, a, out=both)
+            row[:] = _hits(both)
+        p_cond = count_ab / count_a[:, None]
+        p_b = count_b / n_samples
+        diffs = np.abs(p_cond - p_b[None, :])
+        ai, bi = np.unravel_index(np.argmax(diffs), diffs.shape)
+        estimate = float(diffs[ai, bi])
+        ci = wilson_radius(int(count_ab[ai, bi]), int(count_a[ai])) + wilson_radius(
+            int(count_b[bi]), n_samples
         )
-    A = A[keep]
-    count_a = count_a[keep]
-    count_b = np.add.reduce(B, axis=1, dtype=np.intp)
-    # pair counts summed over sample slices: each partial sum is an integer
-    # below 2**53, so the float64 total is exact
-    count_ab = np.zeros((len(A), len(B)))
-    for lo in range(0, n_samples, _PAIR_ROWS):
-        hi = lo + _PAIR_ROWS
-        count_ab += A[:, lo:hi].astype(np.float64) @ B[:, lo:hi].T.astype(np.float64)
-    p_cond = count_ab / count_a[:, None]
-    p_b = count_b / n_samples
-    diffs = np.abs(p_cond - p_b[None, :])
-    ai, bi = np.unravel_index(np.argmax(diffs), diffs.shape)
-    estimate = float(diffs[ai, bi])
-    ci = wilson_radius(
-        int(round(count_ab[ai, bi])), int(count_a[ai])
-    ) + wilson_radius(int(count_b[bi]), n_samples)
-    return PhiEstimate(r, base, k, p, estimate, ci, bound, n_samples, len(A), len(B))
+        out.append(
+            PhiEstimate(r, base, k, p, estimate, ci, bound, n_samples, len(A), len(B))
+        )
+    return out

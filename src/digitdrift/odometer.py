@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from ._heap import prime_heap
 from .digits import check_base, digits_value, expand, int_digit_sum
 from .errors import Int64Overflow, PropagationCapExceeded, TooManySamples
 
@@ -19,7 +20,7 @@ from .errors import Int64Overflow, PropagationCapExceeded, TooManySamples
 # probability at most b**-4096. Read at call time, not bound as a default
 PROPAGATION_CAP = 4096
 # the most samples one batch may draw. At 10**6 samples the README's
-# `simulate` and `phi` commands peak 41 to 218 bytes per sample above the
+# `simulate` and `phi` commands peak 44 to 221 bytes per sample above the
 # interpreter's own memory (more for a wider r), so a batch at the bound
 # takes about 0.7 to 3.7 GB; a refused one allocates nothing
 MAX_SAMPLES = 2**24
@@ -115,6 +116,10 @@ def sample_digit_matrix(
             f"{n_samples} samples of {L} digits is past the bound of {MAX_CELLS} digit cells"
         )
     _check_int64(base, L)
+    # the keys, the digit columns and the sweep's buffers are each a few
+    # hundred KB to a few MB: a block of 8 bytes per cell primes the heap
+    # for them
+    prime_heap(8 * n_samples * L)
     keys = rng.sample_keys(seed, n_samples, first_index)
     head = rng.digit_block(keys, base, range(L)).T
     _, pending = carry_counts(head, (r,), base)

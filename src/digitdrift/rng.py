@@ -83,6 +83,8 @@ def digit_block(keys: np.ndarray, base: int, positions) -> np.ndarray:
     b = np.uint64(base)
     rem = 2**64 % base
     limit = 2**64 - rem
+    # a power-of-two base takes the low bits of the word
+    mask = None if base & (base - 1) else np.uint64(base - 1)
     offsets = [(int(j) + 1) * _GOLD & _MASK for j in positions]
     out = np.empty((len(offsets), len(keys)), dtype=dtype)
     w = np.empty_like(keys)
@@ -90,11 +92,14 @@ def digit_block(keys: np.ndarray, base: int, positions) -> np.ndarray:
     for row, offset in zip(out, offsets):
         np.add(keys, offset, out=w)
         _mix64_np(_mix64_np(w, tmp), tmp)
-        # w - (w // b) * b: uint64 floor division by a scalar is much
-        # faster than the remainder ufunc
-        np.floor_divide(w, b, out=tmp)
-        tmp *= b
-        np.subtract(w, tmp, out=row, casting="unsafe")
+        if mask is not None:
+            np.bitwise_and(w, mask, out=row, casting="unsafe")
+        else:
+            # w - (w // b) * b: uint64 floor division by a scalar is much
+            # faster than the remainder ufunc
+            np.floor_divide(w, b, out=tmp)
+            tmp *= b
+            np.subtract(w, tmp, out=row, casting="unsafe")
         if rem and w.max(initial=0) >= limit:
             # rejection keeps the law exactly uniform
             bad = np.flatnonzero(w >= limit)

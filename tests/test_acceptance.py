@@ -27,7 +27,7 @@ from digitdrift.exactdist import (
     variance_range,
     variance_single_block,
 )
-from digitdrift.mixing import estimate_phi, process_matrix
+from digitdrift.mixing import estimate_phi_grid, process_matrix
 from digitdrift.odometer import drift_samples
 from digitdrift.oracle import check_enclosures, tower_counts
 
@@ -233,12 +233,11 @@ def test_criterion_8_phi_mixing_bound():
     r = pattern_10(16)
     n = 10**6
     X = process_matrix(r, 2, n, SEED)
-    violations = []
-    for k in range(3, 11):
-        for p in (1, 4):
-            est = estimate_phi(r, 2, k, p, X)
-            if est.violated:
-                violations.append((k, p, est.estimate, est.ci, est.bound))
+    violations = [
+        (est.k, est.p, est.estimate, est.ci, est.bound)
+        for est in estimate_phi_grid(r, 2, range(3, 11), (1, 4), X)
+        if est.violated
+    ]
     assert report(
         "8 (mixing bound, (10)^16, k=3..10, p=1,4, N=1e6)",
         not violations,

@@ -13,6 +13,7 @@ from digitdrift.mixing import (
     PhiHalfSums,
     block_laws,
     estimate_phi,
+    estimate_phi_grid,
     exact_median,
     exact_mode,
     phi_bound,
@@ -188,54 +189,109 @@ def test_estimate_phi_rejects_a_matrix_of_another_lambda():
         estimate_phi(pattern_10(8), 2, 3, 1, X[:, 0])
 
 
-def test_estimate_phi_slices_give_the_one_pass_counts(monkeypatch):
+def dense_side(X, cols, medians, modes):
+    """Reference bool events of one side, one sample per column: one event
+    per block and comparison, then the 16 (first, last) intersections,
+    first block's event major."""
+    per_block = [
+        [X[:, c] >= medians[c], X[:, c] == modes[c], X[:, c] <= -1, X[:, c] == 0]
+        for c in cols
+    ]
+    events = [ev for four in per_block for ev in four]
+    if len(cols) >= 2:
+        events += [a & b for a in per_block[0] for b in per_block[-1]]
+    return np.array(events)
+
+
+def dense_phi(r, base, k, p, X):
+    """Reference estimate: bool events and an integer matrix product."""
+    laws = block_laws(r, base)
+    lam, n = len(laws), X.shape[0]
+    bound = phi_bound(k, base)
+    if p + k > lam:
+        return mixing.PhiEstimate(r, base, k, p, 0.0, 0.0, bound, n, 0, 0)
+    medians = [exact_median(law) for law in laws]
+    modes = [exact_mode(law) for law in laws]
+    A = dense_side(X, range(p), medians, modes)
+    B = dense_side(X, range(p + k - 1, lam), medians, modes)
+    count_a = A.sum(axis=1)
+    keep = count_a >= mixing.MIN_EVENT_HITS
+    A, count_a = A[keep], count_a[keep]
+    count_b = B.sum(axis=1)
+    count_ab = A.astype(np.int64) @ B.T.astype(np.int64)
+    diffs = np.abs(count_ab / count_a[:, None] - (count_b / n)[None, :])
+    ai, bi = np.unravel_index(np.argmax(diffs), diffs.shape)
+    ci = wilson_radius(int(count_ab[ai, bi]), int(count_a[ai])) + wilson_radius(
+        int(count_b[bi]), n
+    )
+    return mixing.PhiEstimate(r, base, k, p, float(diffs[ai, bi]), ci, bound, n, len(A), len(B))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [50, 63, 64, 65, 4097])
+def test_estimate_phi_grid_matches_per_pair_and_dense_reference(monkeypatch, n, order):
+    # sample counts around a 64-bit word, and one ragged past many words;
+    # (7, 2) leaves no block past the gap, (7, 1) one
+    if n < 100:
+        monkeypatch.setattr(mixing, "MIN_EVENT_HITS", 5)
+    r, ks, ps = pattern_10(8), [3, 5, 7], [1, 2]
+    X = np.asarray(process_matrix(r, 2, n, seed=4), order=order)
+    grid = estimate_phi_grid(r, 2, ks, ps, X)
+    assert [(est.k, est.p) for est in grid] == [(k, p) for k in ks for p in ps]
+    assert grid == [estimate_phi(r, 2, k, p, X) for k in ks for p in ps]
+    assert grid == [dense_phi(r, 2, k, p, X) for k in ks for p in ps]
+    assert grid[-1].estimate == 0.0 and grid[-2].b_events == 4
+
+
+def test_estimate_phi_grid_refuses_what_estimate_phi_refuses():
     r = pattern_10(8)
-    X = process_matrix(r, 2, 5000, seed=4)
-    whole = [estimate_phi(r, 2, k, p, X) for k in (3, 5) for p in (1, 2)]
-    # ragged slices, the last one short
-    monkeypatch.setattr(mixing, "_PAIR_ROWS", 777)
-    assert [estimate_phi(r, 2, k, p, X) for k in (3, 5) for p in (1, 2)] == whole
-    # the memory order of the input does not matter
-    for Y in (np.ascontiguousarray(X), np.asfortranarray(X)):
-        assert [estimate_phi(r, 2, k, p, Y) for k in (3, 5) for p in (1, 2)] == whole
+    X = process_matrix(r, 2, 4000, seed=1)
+    assert estimate_phi_grid(r, 2, [], [1], X) == []
+    for ks, ps in (([3, 0], [1]), ([3], [1, 0])):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            estimate_phi_grid(r, 2, ks, ps, X)
+    for wrong, Y in ((pattern_10(6), X), (r, X[:, 0])):
+        with pytest.raises(ValueError, match="shape"):
+            estimate_phi_grid(wrong, 2, [3], [1], Y)
+    with pytest.raises(InsufficientSamples):
+        estimate_phi_grid(r, 2, [4, 3], [1], X[:30])
 
 
 def test_side_events_match_per_block_loop():
-    # reference: one event column per block and comparison, then the 16
-    # (first, last) intersections, first block's event major
-    r = pattern_10(8)
-    X = process_matrix(r, 2, 3000, seed=2)
+    # the packed rows unpack to the reference events; the padding bits of
+    # the last word are zero
+    r, n = pattern_10(8), 3000
+    X = process_matrix(r, 2, n, seed=2)
     laws = block_laws(r, 2)
     medians = np.array([exact_median(law) for law in laws])
     modes = np.array([exact_mode(law) for law in laws])
-    for cols in ([0], [0, 1, 2], list(range(3, 8))):
-        per_block = [
-            [X[:, c] >= medians[c], X[:, c] == modes[c], X[:, c] <= -1, X[:, c] == 0]
-            for c in cols
-        ]
-        want = [ev for four in per_block for ev in four]
-        if len(cols) >= 2:
-            want += [a & b for a in per_block[0] for b in per_block[-1]]
-        got = mixing._side_events(X.T[cols[0] : cols[-1] + 1], medians[cols], modes[cols])
-        assert np.array_equal(got, np.array(want))
+    table = mixing._event_table(X.T, medians, modes)
+    assert table.shape == (8, 4, -(-n // 64)) and table.dtype == np.uint64
+    for lo, hi in ((0, 1), (0, 3), (3, 8)):
+        got = mixing._side_events(table, lo, hi)
+        bits = np.unpackbits(got.view(np.uint8), axis=1, bitorder="little")
+        assert np.array_equal(bits[:, :n], dense_side(X, range(lo, hi), medians, modes))
+        assert not bits[:, n:].any()
 
 
-def test_estimate_phi_memory_is_events_plus_slices(monkeypatch):
+def test_estimate_phi_memory_is_the_packed_events():
     import tracemalloc
 
-    # float64 copies of the whole event matrices would take 8 bytes per
-    # sample and event; the bool events and one slice's copies fit the bound
-    monkeypatch.setattr(mixing, "_PAIR_ROWS", 1 << 12)
-    r, n = pattern_10(8), 1 << 16
+    # a bool copy of both sides' events would take a byte per sample and
+    # event, and float64 copies 8; one block's bool events, the packed
+    # table and three packed copies of each side's rows fit the bound
+    r, n, k, p = pattern_10(8), 1 << 16, 3, 2
     X = process_matrix(r, 2, n, seed=0)
+    lam = X.shape[1]
+    rows = (4 * p + 16) + (4 * (lam - p - k + 1) + 16)
     tracemalloc.start()
     try:
-        est = estimate_phi(r, 2, 3, 1, X)
+        estimate_phi(r, 2, k, p, X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    events = est.a_events + est.b_events
-    assert peak < 3 * n * events + 16 * mixing._PAIR_ROWS * events
+    assert peak < 4 * n + n // 8 * (4 * lam + 3 * rows)
+    assert n * rows > 4 * n + n // 8 * (4 * lam + 3 * rows)
 
 
 def test_wilson_radius_sane():

@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -50,9 +56,9 @@ def test_sample_digits_never_change():
 
 
 def test_scalar_digits_match_vector_block():
-    # 3 * 2**62 rejects 1/4 of draws; position lists may be unordered,
-    # sparse or repeat a position
-    for base in (2, 10, 257, 3 * 2**62):
+    # 3 * 2**62 rejects 1/4 of draws, powers of two take the word's low
+    # bits; position lists may be unordered, sparse or repeat a position
+    for base in (2, 10, 16, 257, 2**62, 3 * 2**62):
         for positions in (range(15), [7], [12, 3, 40], [5, 0, 5, 1]):
             for first_index in (0, 1000):
                 X = rng.digit_block(rng.sample_keys(99, 40, first_index), base, positions)
@@ -123,6 +129,29 @@ def test_digit_block_memory_is_output_plus_linear():
     finally:
         tracemalloc.stop()
     assert peak < 2 * X.nbytes + 64 * n
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="the priming lifts glibc's mmap threshold"
+)
+def test_sample_digit_matrix_primes_the_heap():
+    # in a fresh process, the second batch of cli-sampling's simulate size
+    # reuses the heap's pages; unprimed, every batch faulted in about 480
+    # fresh pages (ru_minflt counts the faults that read no disk)
+    script = (
+        "import resource\n"
+        "from digitdrift.odometer import sample_digit_matrix\n"
+        "sample_digit_matrix(5900991, 10, 50000, 1)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "sample_digit_matrix(5900991, 10, 50000, 2)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert int(proc.stdout) < 100
 
 
 def test_sample_drift_zero_r():

@@ -2,9 +2,9 @@
 
 tests/data/phi_pinned.json holds float.hex of estimate and ci, and the
 kept event counts, of acceptance criterion 8's 16 (k, p) on a process
-matrix of (10)^16 in base 2 at 10^5 samples. That is two _PAIR_ROWS
-slices of the pair counts, the second one ragged. Any change to an event,
-a count or the argmax order shows up here.
+matrix of (10)^16 in base 2 at 10^5 samples, whose last 64-bit event word
+is ragged. Any change to an event, a count or the argmax order shows up
+here.
 
 Re-record (only when an output change is intended and explained):
 

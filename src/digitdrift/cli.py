@@ -426,16 +426,15 @@ def cmd_clt(args) -> int:
         print(f"wrote {args.out} and {json_path}")
     else:
         sys.stdout.write(csv_text)
-    ks_ratio = report.column_ratio("ks_times_rho_eighth", args.min_rho)
-    gap_ratio = report.column_ratio("smooth_gap_times_sqrt_rho", args.min_rho)
-    print(f"ks_times_rho_eighth max/min (rho >= {args.min_rho}): {fmt_float(ks_ratio)}")
-    print(
-        f"smooth_gap_times_sqrt_rho max/min (rho >= {args.min_rho}): {fmt_float(gap_ratio)}"
-    )
+    min_rho, cap = cltdiag.RATE_MIN_RHO, cltdiag.RATE_RATIO_CAP
+    ks_ratio = report.column_ratio("ks_times_rho_eighth")
+    gap_ratio = report.column_ratio("smooth_gap_times_sqrt_rho")
+    print(f"ks_times_rho_eighth max/min (rho >= {min_rho}): {fmt_float(ks_ratio)}")
+    print(f"smooth_gap_times_sqrt_rho max/min (rho >= {min_rho}): {fmt_float(gap_ratio)}")
     blow_up = False
     for name, ratio in (("ks", ks_ratio), ("gap", gap_ratio)):
-        if not math.isnan(ratio) and ratio > args.ratio_cap:
-            print(f"column {name} exceeded the ratio cap {args.ratio_cap}")
+        if not math.isnan(ratio) and ratio > cap:
+            print(f"column {name} exceeded the ratio cap {cap}")
             blow_up = True
     return EXIT_VIOLATION if blow_up else EXIT_OK
 
@@ -543,8 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None, help="PATTERN@m1,m2,... repeated pattern")
     p.add_argument("--list", default=None, help="file with one r per line")
     p.add_argument("--out", default=None, help="CSV output path (JSON twin alongside)")
-    p.add_argument("--min-rho", type=int, default=16)
-    p.add_argument("--ratio-cap", type=float, default=10.0)
     p.add_argument("--cache", default=None)
     p.set_defaults(func=cmd_clt)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .digits import check_base, rho_lambda
-from .errors import InvalidBase, InvalidEpsilon, TailTooHeavy
+from .errors import InvalidBase, InvalidEpsilon, TailTooHeavy, ZeroHasNoBlocks
 from .exactdist import (
     DriftDistribution,
     distribution,
@@ -26,6 +26,10 @@ SQRT2 = math.sqrt(2.0)
 SQRT2PI = math.sqrt(2.0 * math.pi)
 KS_TAIL_LIMIT = 1e-6
 CHAIN_GRID_POINTS = 801  # shift points spanning the support in mollifier_chain_check
+# criterion 9's rate gate: a normalized column's max/min over the rows with
+# rho >= RATE_MIN_RHO stays within RATE_RATIO_CAP
+RATE_MIN_RHO = 16
+RATE_RATIO_CAP = 10.0
 
 # sup |f'''| of the mollifier profile, attained at 1/2 (value 105/2).
 MOLLIFIER_D3_SUP = 52.5
@@ -311,7 +315,7 @@ class RateRow:
 class RateReport:
     rows: tuple[RateRow, ...]
 
-    def column_ratio(self, column: str, min_rho: int = 16) -> float:
+    def column_ratio(self, column: str, min_rho: int = RATE_MIN_RHO) -> float:
         """max/min of a normalized column over rows with rho >= min_rho."""
         vals = [getattr(row, column) for row in self.rows if row.rho >= min_rho]
         if not vals:
@@ -355,6 +359,8 @@ def local_limit_gap(r: int, d: int, dist: DriftDistribution) -> float:
         raise ValueError(f"dist is the law of r = {dist.r}, not of r = {r}")
     if dist.base != 2:
         raise InvalidBase("the local limit comparison is defined for base 2")
+    if r == 0:
+        raise ZeroHasNoBlocks("the local limit comparison needs r >= 1 (r = 0 has no variance)")
     var = float(variance_exact(r, 2))
     sigma = math.sqrt(var)
     gauss = math.exp(-d * d / (2.0 * var)) / (sigma * SQRT2PI)

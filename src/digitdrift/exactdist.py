@@ -295,8 +295,7 @@ def atom_mass(r: int, base: int, d: int) -> Fraction:
     q, rem = divmod(s_r - d, base - 1)
     if rem != 0 or q < 0:
         return Fraction(0)  # off-lattice or above the top atom
-    nums, den = _carry_numerators(r, base, q)
-    return Fraction(nums[q], den)
+    return distribution(r, base, atoms=q).mass_at(d)
 
 
 def default_atom_cutoff(r: int, base: int, tail_eps: Fraction) -> int:
@@ -620,8 +619,10 @@ def save_cached_distribution(
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc))  # the C encoder; json.dump streams in Python
         os.replace(tmp, path)  # atomic on POSIX
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # a full disk, say
+            raise CacheUnwritable(f"cannot write into {cache_dir!r}: {exc.strerror}") from exc
         raise
     return path

@@ -225,11 +225,6 @@ def _hits(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
 
 
-def estimate_phi(r: int, base: int, k: int, p: int, X: np.ndarray) -> PhiEstimate:
-    """estimate_phi_grid at the one pair (k, p)."""
-    return estimate_phi_grid(r, base, [k], [p], X)[0]
-
-
 def estimate_phi_grid(r: int, base: int, ks, ps, X: np.ndarray) -> list[PhiEstimate]:
     """Empirical lower-bound estimates of the mixing coefficient, one per
     (k, p), k major.
@@ -250,7 +245,12 @@ def estimate_phi_grid(r: int, base: int, ks, ps, X: np.ndarray) -> list[PhiEstim
     if X.ndim != 2 or X.shape[1] != lam:
         raise ValueError(f"X has shape {X.shape}, not (n, lambda(r) = {lam})")
     n_samples = X.shape[0]
-    table = None
+    # block_laws hands out one object per distinct law: its thresholds are
+    # computed once
+    distinct = {id(law): law for law in laws}
+    cut = {key: (exact_median(law), exact_mode(law)) for key, law in distinct.items()}
+    medians, modes = np.array([cut[id(law)] for law in laws]).T
+    table = _event_table(X.T, medians, modes)
     out = []
     for k, p in pairs:
         bound = phi_bound(k, base)
@@ -258,13 +258,6 @@ def estimate_phi_grid(r: int, base: int, ks, ps, X: np.ndarray) -> list[PhiEstim
             # no blocks left beyond the gap: trivial sigma-algebra
             out.append(PhiEstimate(r, base, k, p, 0.0, 0.0, bound, n_samples, 0, 0))
             continue
-        if table is None:
-            # block_laws hands out one object per distinct law: its
-            # thresholds are computed once
-            distinct = {id(law): law for law in laws}
-            cut = {key: (exact_median(law), exact_mode(law)) for key, law in distinct.items()}
-            medians, modes = np.array([cut[id(law)] for law in laws]).T
-            table = _event_table(X.T, medians, modes)
         A = _side_events(table, 0, p)
         B = _side_events(table, p + k - 1, lam)
         count_a = _hits(A)

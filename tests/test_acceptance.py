@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from digitdrift.cltdiag import (
+    RATE_MIN_RHO,
+    RATE_RATIO_CAP,
     local_limit_gap,
     mollifier_chain_check,
     rate_report,
@@ -252,8 +254,10 @@ def test_criterion_9a_ks_strictly_decreasing(family_rows):
 
 
 def test_criterion_9b_ks_rate_ratio(family_rows):
-    ratio = family_rows.column_ratio("ks_times_rho_eighth", min_rho=16)
-    assert report("9b (ks * rho^(1/8) max/min < 10 over m >= 8)", ratio < 10, f"ratio={ratio:.2f}")
+    ratio = family_rows.column_ratio("ks_times_rho_eighth", min_rho=RATE_MIN_RHO)
+    assert report(
+        "9b (ks * rho^(1/8) max/min < 10 over m >= 8)", ratio < RATE_RATIO_CAP, f"ratio={ratio:.2f}"
+    )
 
 
 def test_criterion_9c_cubic_rate_ratio(family_rows):
@@ -262,10 +266,10 @@ def test_criterion_9c_cubic_rate_ratio(family_rows):
     # normalized gap decays like rho^(-1) and this flatness ratio grows
     # ~ rho^(1/2): expected to fail. The companion test below pins the
     # verified actual behaviour.
-    ratio = family_rows.column_ratio("smooth_gap_times_sqrt_rho", min_rho=16)
+    ratio = family_rows.column_ratio("smooth_gap_times_sqrt_rho", min_rho=RATE_MIN_RHO)
     assert report(
         "9c (|E Z^3| * sqrt(rho) max/min < 10 over m >= 8)",
-        ratio < 10,
+        ratio < RATE_RATIO_CAP,
         f"ratio={ratio:.2f} (gap decays ~1/rho on this family, not 1/sqrt(rho))",
     )
 

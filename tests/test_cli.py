@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from digitdrift import mixing, odometer
+from digitdrift import exactdist, mixing, odometer
 from digitdrift.cli import _verify_r_values, main, parse_r, pattern_family, UsageError
 from digitdrift.digits import BlockKind, block_prefix_integers, decompose_blocks, expand
 from digitdrift.odometer import MAX_CELLS, MAX_SAMPLES
@@ -398,6 +399,22 @@ def test_clt_family(capsys, tmp_path, tmp_cache):
     assert open(out_path, "rb").read() == first
 
 
+def test_clt_ratio_gate_exits_1_after_its_csv(capsys, tmp_cache):
+    # over rho >= 16 the cubic column of (10)^8 and (10)^256 spans 28.5x,
+    # past the cap of 10: the CSV and both ratios print first, then the gate
+    code, out, err = run_cli(capsys, "clt", "--family", "10@8,256", "--base", "2",
+                             "--cache", tmp_cache)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("r,base,rho,lambda,variance")
+    assert [row.split(",")[2] for row in lines[1:3]] == ["16", "512"]
+    assert lines[3:] == [
+        "ks_times_rho_eighth max/min (rho >= 16): 4.13475349705",
+        "smooth_gap_times_sqrt_rho max/min (rho >= 16): 28.490181398",
+        "column gap exceeded the ratio cap 10.0",
+    ]
+
+
 def test_clt_empty_family(capsys):
     code, _, _ = run_cli(capsys, "clt", "--family", "10@", "--base", "2")
     assert code == 2
@@ -564,6 +581,16 @@ def test_phi_lambda_too_small(capsys):
         ["dist", "5", "--cache", "{a_file}/sub"],
         ["simulate", "7", "--samples", "10", "--cache", "{a_file}"],
         ["clt", "--family", "10@2", "--base", "2", "--cache", "{a_file}/sub"],
+        ["dist", "5", "--atoms", "0", "--cache", "{cache}"],
+        ["verify", "--random", "3"],
+        ["verify"],
+        ["verify", "5-9"],
+        ["verify", "9..5"],
+        ["simulate", "5", "--samples", "0", "--cache", "{cache}"],
+        ["clt", "--family", "10", "--base", "2", "--cache", "{cache}"],
+        ["clt", "--list", "{empty}", "--cache", "{cache}"],
+        ["phi", "0"],
+        ["phi", "682", "--base", "2", "--k", ","],
     ],
     ids=[
         "negative-tail-eps",
@@ -605,6 +632,16 @@ def test_phi_lambda_too_small(capsys):
         "dist-cache-under-a-file",
         "simulate-cache-is-a-file",
         "clt-cache-under-a-file",
+        "dist-zero-atoms",
+        "verify-random-without-digits",
+        "verify-without-range",
+        "verify-bad-range",
+        "verify-empty-range",
+        "simulate-zero-samples",
+        "clt-family-without-repetitions",
+        "clt-empty-list",
+        "phi-zero-r",
+        "phi-empty-k",
     ],
 )
 def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
@@ -617,6 +654,8 @@ def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
     out_json = tmp_path / "rates.json"
     a_file = tmp_path / "notadir"
     a_file.write_text("")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
     argv = [
         a.format(
             missing=tmp_path / "absent.txt",
@@ -626,6 +665,7 @@ def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
             cache=tmp_path / "cache",
             out_json=out_json,
             a_file=a_file,
+            empty=empty,
         )
         for a in argv
     ]
@@ -652,6 +692,28 @@ def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
         why = "File exists" if cache == str(a_file) else "Not a directory"
         assert err == f"error: cannot use {cache!r} as the cache directory: {why}\n"
         assert a_file.read_text() == ""
+
+
+def test_cache_write_failure_is_usage_error(capsys, monkeypatch, tmp_path):
+    # a disk that fills between the temp file and its rename: exit 2 with
+    # the cache error and no temp file left; any other failure passes as is
+    def no_space(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(os, "replace", no_space)
+    code, out, err = run_cli(capsys, "dist", "5", "--cache", str(cache))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write into {str(cache)!r}: No space left on device\n"
+    assert not list(cache.glob("*.tmp"))
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        exactdist.save_cached_distribution(2, 5, [1], 8, str(cache))
+    assert not list(cache.glob("*.tmp"))
 
 
 def test_propagation_cap_exceeded_is_usage_error(capsys, monkeypatch, tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from digitdrift.cltdiag import (
     CHAIN_GRID_POINTS,
     MOLLIFIER_D3_SUP,
+    RATE_MIN_RHO,
     _gaussian_mollifier_expectations,
     _mollifier_expectations_z,
     _normal_cdf_array,
@@ -30,7 +31,7 @@ from digitdrift.cltdiag import (
     smooth_gap,
     third_abs_moment_normalized,
 )
-from digitdrift.errors import InvalidBase, InvalidEpsilon, TailTooHeavy
+from digitdrift.errors import InvalidBase, InvalidEpsilon, TailTooHeavy, ZeroHasNoBlocks
 from digitdrift.exactdist import (
     cache_key,
     distribution,
@@ -212,6 +213,7 @@ def test_ks_rejects_heavy_tail():
 def test_smooth_gap_trivial_cases():
     d0 = distribution(0, 2, atoms=4)
     assert smooth_gap(d0, "sin") == 0.0  # sin(0) vs odd-symmetric normal
+    assert third_abs_moment_normalized(d0) == 0.0  # a unit mass at 0
     d = distribution(118, 2)
     assert smooth_gap(d, "cubic") >= 0.0
     with pytest.raises(ValueError):
@@ -287,9 +289,19 @@ def test_rate_report_family_shape_and_trend():
     assert rep.column_ratio("ks_times_rho_eighth", min_rho=8) < 10
 
 
+def test_column_ratio_without_a_row_past_min_rho_is_nan():
+    rep = rate_report([pattern_10(m) for m in (2, 4)], 2)
+    assert max(row.rho for row in rep.rows) < RATE_MIN_RHO
+    assert math.isnan(rep.column_ratio("ks_times_rho_eighth"))
+    assert rep.column_ratio("ks_times_rho_eighth", min_rho=8) == 1.0
+
+
 def test_local_limit_gap():
     with pytest.raises(InvalidBase):
         local_limit_gap(7, 0, dist=distribution(7, 10))
+    # the law of 0 is a unit mass with zero variance: no density to compare
+    with pytest.raises(ZeroHasNoBlocks):
+        local_limit_gap(0, 0, dist=distribution(0, 2))
     d3 = distribution(3, 2)
     sigma = math.sqrt(3)
     expected = abs(float(d3.mass_at(0)) - 1 / (sigma * math.sqrt(2 * math.pi)))

@@ -12,7 +12,6 @@ from digitdrift.exactdist import distribution, unit_atom_mass, variance_exact
 from digitdrift.mixing import (
     PhiHalfSums,
     block_laws,
-    estimate_phi,
     estimate_phi_grid,
     exact_median,
     exact_mode,
@@ -155,7 +154,7 @@ def test_phi_bound_values():
 
 def test_estimate_phi_trivial_gap():
     r = pattern_10(4)
-    est = estimate_phi(r, 2, k=4, p=1, X=process_matrix(r, 2, 100, seed=0))
+    (est,) = estimate_phi_grid(r, 2, [4], [1], process_matrix(r, 2, 100, seed=0))
     assert est.estimate == 0.0
     assert est.samples == 100
     assert not est.violated
@@ -164,8 +163,7 @@ def test_estimate_phi_trivial_gap():
 def test_estimate_phi_bound_respected_small():
     r = pattern_10(8)
     X = process_matrix(r, 2, 60000, seed=1)
-    for k in (3, 5):
-        est = estimate_phi(r, 2, k=k, p=2, X=X)
+    for est in estimate_phi_grid(r, 2, [3, 5], [2], X):
         assert est.samples == 60000
         assert est.estimate - est.ci <= est.bound
         assert not est.violated
@@ -174,19 +172,19 @@ def test_estimate_phi_bound_respected_small():
 def test_estimate_phi_insufficient_samples():
     r = pattern_10(8)
     with pytest.raises(InsufficientSamples):
-        estimate_phi(r, 2, k=3, p=1, X=process_matrix(r, 2, 30, seed=1))
+        estimate_phi_grid(r, 2, [3], [1], process_matrix(r, 2, 30, seed=1))
 
 
 def test_estimate_phi_rejects_a_matrix_of_another_lambda():
     # the rows of (10)^8 read against the blocks of (10)^6 would mix up
     # block laws and columns; the sample count is the matrix's own
     X = process_matrix(pattern_10(8), 2, 4000, seed=1)
-    assert estimate_phi(pattern_10(8), 2, 3, 1, X).estimate < 0.05
+    assert estimate_phi_grid(pattern_10(8), 2, [3], [1], X)[0].estimate < 0.05
     for wrong in (pattern_10(6), pattern_10(9)):
         with pytest.raises(ValueError):
-            estimate_phi(wrong, 2, 3, 1, X)
+            estimate_phi_grid(wrong, 2, [3], [1], X)
     with pytest.raises(ValueError):
-        estimate_phi(pattern_10(8), 2, 3, 1, X[:, 0])
+        estimate_phi_grid(pattern_10(8), 2, [3], [1], X[:, 0])
 
 
 def dense_side(X, cols, medians, modes):
@@ -238,7 +236,7 @@ def test_estimate_phi_grid_matches_per_pair_and_dense_reference(monkeypatch, n, 
     X = np.asarray(process_matrix(r, 2, n, seed=4), order=order)
     grid = estimate_phi_grid(r, 2, ks, ps, X)
     assert [(est.k, est.p) for est in grid] == [(k, p) for k in ks for p in ps]
-    assert grid == [estimate_phi(r, 2, k, p, X) for k in ks for p in ps]
+    assert grid == [estimate_phi_grid(r, 2, [k], [p], X)[0] for k in ks for p in ps]
     assert grid == [dense_phi(r, 2, k, p, X) for k in ks for p in ps]
     assert grid[-1].estimate == 0.0 and grid[-2].b_events == 4
 
@@ -286,7 +284,7 @@ def test_estimate_phi_memory_is_the_packed_events():
     rows = (4 * p + 16) + (4 * (lam - p - k + 1) + 16)
     tracemalloc.start()
     try:
-        estimate_phi(r, 2, k, p, X)
+        estimate_phi_grid(r, 2, [k], [p], X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

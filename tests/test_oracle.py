@@ -251,6 +251,12 @@ def test_tower_value_bound(monkeypatch):
         tower_counts(5, 2**10000, 1)  # refused before the tower total is built
 
 
+def test_empirical_density_refuses_a_one_digit_chunk_past_the_bound():
+    # n + r = 2 is one digit in base 2^25, a chunk of 2^25 values
+    with pytest.raises(TableTooLarge, match=f"enumerates {2**25} chunk values"):
+        empirical_density(1, 2**25, 1)
+
+
 def test_empirical_density_value_bound():
     # n + r has two digits in base 2^29 + 3, two chunks of that many values
     # each, and the count's table alone would take gigabytes; a child process
@@ -368,6 +374,23 @@ def test_cesaro_indicator_reduces_to_density():
         res = cesaro_check(r, b, n, "indicator", d=d)
         assert res.empirical == dens.get(d, Fraction(0))
         assert res.exact_lo == res.exact_hi == atom_mass(r, b, d)
+
+
+def test_cesaro_indicator_below_the_stored_atoms_is_the_tail_interval():
+    r, b, n = 7, 10, 1000
+    dist = distribution(r, b)
+    d = dist.position(len(dist.atoms))  # one carry past the last stored atom
+    res = cesaro_check(r, b, n, "indicator", d=d)
+    assert res == CesaroResult(Fraction(0), Fraction(0), dist.tail_mass)
+    assert res.distance == 0
+
+
+def test_cesaro_distance_is_zero_inside_the_interval():
+    lo, hi = Fraction(1, 4), Fraction(1, 2)
+    for inside in (lo, Fraction(1, 3), hi):
+        assert CesaroResult(inside, lo, hi).distance == 0
+    assert CesaroResult(Fraction(0), lo, hi).distance == Fraction(1, 4)
+    assert CesaroResult(Fraction(3, 4), lo, hi).distance == Fraction(1, 4)
 
 
 def test_cesaro_abs_interval():

@@ -1,4 +1,4 @@
-"""estimate_phi's outputs, pinned bit for bit.
+"""estimate_phi_grid's outputs, pinned bit for bit.
 
 tests/data/phi_pinned.json holds float.hex of estimate and ci, and the
 kept event counts, of acceptance criterion 8's 16 (k, p) on a process
@@ -13,30 +13,27 @@ Re-record (only when an output change is intended and explained):
 import json
 from pathlib import Path
 
-from digitdrift.mixing import estimate_phi, process_matrix
+from digitdrift.mixing import estimate_phi_grid, process_matrix
 
 PINNED = Path(__file__).parent / "data" / "phi_pinned.json"
 
 R, BASE, SAMPLES, SEED = int("10" * 16, 2), 2, 10**5, 42
-CASES = [(k, p) for k in range(3, 11) for p in (1, 4)]
+KS, PS = range(3, 11), (1, 4)
 
 
 def phi_outputs() -> list[dict]:
     X = process_matrix(R, BASE, SAMPLES, SEED)
-    out = []
-    for k, p in CASES:
-        est = estimate_phi(R, BASE, k, p, X)
-        out.append(
-            {
-                "k": k,
-                "p": p,
-                "estimate": est.estimate.hex(),
-                "ci": est.ci.hex(),
-                "a_events": est.a_events,
-                "b_events": est.b_events,
-            }
-        )
-    return out
+    return [
+        {
+            "k": est.k,
+            "p": est.p,
+            "estimate": est.estimate.hex(),
+            "ci": est.ci.hex(),
+            "a_events": est.a_events,
+            "b_events": est.b_events,
+        }
+        for est in estimate_phi_grid(R, BASE, KS, PS, X)
+    ]
 
 
 def test_phi_outputs_match_pinned():

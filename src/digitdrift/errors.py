@@ -67,8 +67,10 @@ class Int64Overflow(DigitDriftError, OverflowError):
 
 
 class TableTooLarge(DigitDriftError, ValueError):
-    """The oracle's digit-sum table would pass 2**30 entries.
+    """The oracle's digit-sum table would pass 2**30 entries, or
+    empirical_density would enumerate more than oracle.MAX_TOWER_VALUES
+    chunk values.
 
-    Counting over such a table peaks at 4 to 9 bytes of memory per entry,
-    several GB from 2**30 entries on.
+    Counting over a digit-sum table peaks at 4 to 9 bytes of memory per
+    entry, several GB from 2**30 entries on.
     """

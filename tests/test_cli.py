@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from digitdrift import exactdist, mixing, odometer
+from digitdrift import exactdist, mixing, odometer, oracle
 from digitdrift.cli import _verify_r_values, main, parse_r, pattern_family, UsageError
 from digitdrift.digits import BlockKind, block_prefix_integers, decompose_blocks, expand
 from digitdrift.odometer import MAX_CELLS, MAX_SAMPLES
@@ -152,11 +153,7 @@ def test_parser_reuse_keeps_output(capsys, monkeypatch, tmp_path):
         assert (code, out) == (proc.returncode, proc.stdout)
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [["--atoms", "100000000"], ["--tail-eps", "100000000"]],
-    ids=["atoms", "tail-eps"],
-)
+@pytest.mark.parametrize("flags", [["--atoms", "100000000"]], ids=["atoms"])
 def test_dist_refuses_absurd_cutoff_at_once(flags, tmp_path):
     # 10**8 atoms would build about 10**16 numerator bits; a child process
     # lets the timeout fail this test instead of hanging the suite
@@ -173,12 +170,38 @@ DIST_STDOUT = json.loads(
 )
 
 
+def _atoms_twin(command: str) -> list[str]:
+    """A recorded `dist ... --tail-eps E` command as the --atoms count that
+    E selected: the default cutoff for 10^-E, plus one. Beside --atoms,
+    --tail-eps was ignored."""
+    argv = command.split()
+    i = argv.index("--tail-eps")
+    exp = int(argv.pop(i + 1))
+    argv.pop(i)
+    if "--atoms" not in argv:
+        base = int(argv[argv.index("--base") + 1]) if "--base" in argv else 10
+        cutoff = exactdist.default_atom_cutoff(int(argv[1]), base, Fraction(1, 10**exp))
+        argv += ["--atoms", str(cutoff + 1)]
+    return argv
+
+
 @pytest.mark.parametrize("command", sorted(DIST_STDOUT))
 def test_dist_tail_eps_stdout_is_pinned(capsys, tmp_path, command):
-    # stdout recorded when distribution still took tail_eps: a cutoff from
-    # --tail-eps, and --atoms beside an ignored --tail-eps
-    code, out, err = run_cli(capsys, *command.split(), "--cache", str(tmp_path))
+    # stdout recorded when distribution still took tail_eps and dist took
+    # --tail-eps, run through each command's --atoms twin
+    code, out, err = run_cli(capsys, *_atoms_twin(command), "--cache", str(tmp_path))
     assert (code, out, err) == (0, DIST_STDOUT[command], "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dist", "5", "--tail-eps", "12"], ["clt", "--list", "f"], ["verify", "1..3", "--seed", "1"]],
+    ids=["dist-tail-eps", "clt-list", "verify-seed"],
+)
+def test_removed_options_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
 CLI_STDOUT = json.loads((Path(__file__).parent / "data" / "cli_stdout_pinned.json").read_text())
@@ -329,6 +352,50 @@ def test_verify_unknown_check(capsys):
     assert code == 2
 
 
+def _moved_mass(real, r_values):
+    """exactdist.distribution, but the law of each r in r_values has the mass
+    of atom 0 moved onto its last stored atom, which the recursion check
+    always reads: the total stays, the law is wrong."""
+
+    def law(r, base, **kwargs):
+        good = real(r, base, **kwargs)
+        if r not in r_values:
+            return good
+        (n0, *mid, last), den = good._numerators
+        return exactdist._from_numerators(r, base, [0, *mid, last + n0], den)
+
+    return law
+
+
+@pytest.mark.parametrize("check", ["recursion", "reverse", "bounds", "enclosure"])
+def test_verify_prints_each_failure_and_exits_1(capsys, monkeypatch, check):
+    r_values = (12, 13)  # their reverses, 21 and 31, keep the true law
+    if check in ("recursion", "reverse"):
+        monkeypatch.setattr(exactdist, "distribution", _moved_mass(exactdist.distribution, r_values))
+    elif check == "bounds":
+        real = exactdist.check_variance_bounds
+        monkeypatch.setattr(
+            exactdist, "check_variance_bounds",
+            lambda r, base: dataclasses.replace(real(r, base), variance=Fraction(0)),
+        )
+    else:
+        monkeypatch.setattr(
+            oracle, "check_enclosures",
+            lambda dist, level: [oracle.EnclosureViolation(
+                dist.r, dist.base, level, 0, dist.s_r, Fraction(1), Fraction(0), Fraction(0)
+            )],
+        )
+    code, out, err = run_cli(capsys, "verify", "12..13", "--checks", check)
+    *fails, summary = out.splitlines()
+    assert (code, err) == (1, "")
+    assert summary == f"verify: 2 values, checks={check}, failures={len(fails)}"
+    # every r fails, each failure on one line of its own
+    assert {line.split()[2].rstrip(":") for line in fails} == {"r=12", "r=13"}
+    assert all(line.startswith(f"FAIL {check} r=1") for line in fails)
+    if check != "recursion":  # recursion prints one line per bad point
+        assert len(fails) == 2
+
+
 def test_simulate_deterministic(capsys, tmp_cache):
     args = [
         "simulate",
@@ -367,6 +434,24 @@ def test_simulate_process(capsys, tmp_cache):
     assert code == 0
     assert "sum(X_i) == delta for all samples: True" in out
     assert "totals histogram identical to drift histogram: True" in out
+
+
+def test_simulate_process_mismatch_exits_1(capsys, monkeypatch, tmp_cache):
+    real = mixing.process_from_digits
+
+    def one_entry_off(*args):
+        X = real(*args).copy()
+        X[0, 0] += 1
+        return X
+
+    monkeypatch.setattr(mixing, "process_from_digits", one_entry_off)
+    code, out, err = run_cli(
+        capsys, "simulate", "118", "--base", "2", "--samples", "5000", "--seed", "1",
+        "--process", "--cache", tmp_cache,
+    )
+    assert (code, err) == (1, "")
+    assert "sum(X_i) == delta for all samples: False" in out
+    assert "totals histogram identical to drift histogram: False" in out
 
 
 def test_clt_family(capsys, tmp_path, tmp_cache):
@@ -527,9 +612,6 @@ def test_phi_lambda_too_small(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["dist", "5", "--tail-eps", "-3"],
-        ["clt", "--list", "{missing}"],
-        ["clt", "--list", "{not_int}"],
         ["verify", "--random", "3", "--digits", "0"],
         ["verify", "--random", "3", "--digits", "-2"],
         ["verify", "--random", "-1", "--digits", "3"],
@@ -557,9 +639,7 @@ def test_phi_lambda_too_small(capsys):
          "--samples", "100"],
         ["phi", "10101010101010101010", "--radix-input", "--base", "2", "--p", "a",
          "--samples", "100"],
-        ["clt", "--list", "{negative}", "--cache", "{cache}"],
         ["clt", "--family", "10@-2", "--base", "2", "--cache", "{cache}"],
-        ["clt", "--list", "{zero}", "--cache", "{cache}"],
         ["clt", "--family", "0@2", "--base", "2", "--cache", "{cache}"],
         ["clt", "--family", "00@1,3", "--cache", "{cache}"],
         ["verify", "1..3", "--checks", ""],
@@ -588,14 +668,10 @@ def test_phi_lambda_too_small(capsys):
         ["verify", "9..5"],
         ["simulate", "5", "--samples", "0", "--cache", "{cache}"],
         ["clt", "--family", "10", "--base", "2", "--cache", "{cache}"],
-        ["clt", "--list", "{empty}", "--cache", "{cache}"],
         ["phi", "0"],
         ["phi", "682", "--base", "2", "--k", ","],
     ],
     ids=[
-        "negative-tail-eps",
-        "missing-list",
-        "non-integer-list",
         "zero-digits",
         "negative-digits",
         "negative-count",
@@ -615,9 +691,7 @@ def test_phi_lambda_too_small(capsys):
         "verify-random-base-0",
         "phi-k-not-integer",
         "phi-p-not-integer",
-        "negative-list",
         "clt-negative-repetitions",
-        "clt-zero-in-list",
         "clt-zero-family",
         "clt-zero-family-base-10",
         "verify-no-checks",
@@ -639,33 +713,20 @@ def test_phi_lambda_too_small(capsys):
         "verify-empty-range",
         "simulate-zero-samples",
         "clt-family-without-repetitions",
-        "clt-empty-list",
         "phi-zero-r",
         "phi-empty-k",
     ],
 )
 def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
-    not_int = tmp_path / "members.txt"
-    not_int.write_text("5\nseven\n")
-    negative = tmp_path / "negative.txt"
-    negative.write_text("5\n-3\n")
-    zero = tmp_path / "zero.txt"
-    zero.write_text("0\n5\n")
     out_json = tmp_path / "rates.json"
     a_file = tmp_path / "notadir"
     a_file.write_text("")
-    empty = tmp_path / "empty.txt"
-    empty.write_text("")
     argv = [
         a.format(
             missing=tmp_path / "absent.txt",
-            not_int=not_int,
-            negative=negative,
-            zero=zero,
             cache=tmp_path / "cache",
             out_json=out_json,
             a_file=a_file,
-            empty=empty,
         )
         for a in argv
     ]
@@ -674,8 +735,8 @@ def test_invalid_input_is_usage_error(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert not out_json.exists()
-    if argv[0] == "clt" and argv[2] in (str(zero), str(negative), "0@2", "00@1,3"):
-        # a member below 1 is refused by the name of the list or family
+    if argv[0] == "clt" and argv[2] in ("0@2", "00@1,3"):
+        # a member below 1 is refused by the name of the family
         assert err == f"error: {argv[1]} {argv[2]!r} holds a member below 1\n"
     base = argv[argv.index("--base") + 1] if "--base" in argv else "10"
     if int(base) < 2:

@@ -6,6 +6,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,7 @@ from digitdrift.exactdist import (
     variance_trailing_max_run,
     variance_trailing_unit,
 )
+from digitdrift.odometer import LazyBadicSample, sample_drift
 from digitdrift.oracle import tower_enclosure
 
 
@@ -734,3 +736,53 @@ def test_cache_schema(tmp_cache):
     assert path == os.path.join(tmp_cache, cache_key(10, 7, 5))
     with open(path) as fh:
         assert json.load(fh) == doc
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: distribution(-1, 2), ValueError, "r must be nonnegative"),
+        (lambda: distribution(5, 2, atoms=-1), ValueError, "atom count must be nonnegative"),
+        (lambda: atom_mass(-1, 2, 0), ValueError, "r must be nonnegative"),
+        (lambda: variance_exact(-1, 2), ValueError, "r must be nonnegative"),
+        (lambda: expand(-1, 2), ValueError, "n must be nonnegative"),
+        (lambda: int_digit_sum(-1, 3), ValueError, "n must be nonnegative"),
+        (lambda: unit_atom_mass(-1, 2), ValueError, "k must be nonnegative"),
+        (lambda: tail_abs_moment_bound(distribution(5, 2), 4), ValueError, "power must be in 0..3"),
+        (lambda: variance_trailing_unit(1, 0, 2), ValueError, "m must be >= 1"),
+        (lambda: mixing.phi_half_sums(2, 0), ValueError, "n_terms must be >= 1"),
+        (lambda: sample_drift(LazyBadicSample(2), -1), ValueError, "r must be nonnegative"),
+        (lambda: oracle.empirical_density(1, 2, 0), ValueError, "n must be >= 1"),
+        (lambda: oracle.empirical_density(-1, 2, 5), ValueError, "r must be nonnegative"),
+        (lambda: oracle.tower_counts(-1, 2, 3), ValueError, "r must be nonnegative"),
+        (lambda: variance_single_block("max_run", 0, 2), NotSingleBlock, "run length must be >= 1"),
+        (lambda: getattr(distribution(5, 2), "nope"), AttributeError, "nope"),
+    ],
+    ids=[
+        "distribution-negative-r",
+        "distribution-negative-atoms",
+        "atom-mass-negative-r",
+        "variance-negative-r",
+        "expand-negative",
+        "digit-sum-negative",
+        "unit-atom-negative-k",
+        "tail-moment-power-4",
+        "trailing-unit-zero-m",
+        "phi-half-sums-no-terms",
+        "sample-drift-negative-r",
+        "density-zero-n",
+        "density-negative-r",
+        "tower-negative-r",
+        "single-block-empty-run",
+        "law-missing-attribute",
+    ],
+)
+def test_library_input_guards(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_digit_sum_table_of_no_entries_is_empty():
+    table = oracle.digit_sum_table(0, 2)
+    assert (table.shape, table.dtype) == ((0,), np.uint8)

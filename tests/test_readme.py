@@ -1,10 +1,15 @@
-"""The README's library quick start runs, and every value its comments
-claim is the value the code returns."""
+"""The README's library quick start runs, every value its comments claim
+is the value the code returns, and every command of its CLI block parses."""
 import ast
 import io
 import re
+import shlex
 import tokenize
 from pathlib import Path
+
+import pytest
+
+from digitdrift import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,3 +54,26 @@ def test_readme_quick_start_runs_and_its_values_hold():
             checked.append(line)
     # drift, carry_count, atom_mass, variance_exact, all_bounds_hold
     assert len(checked) == 5, checked
+
+
+def _cli_commands() -> list[str]:
+    """Each `digitdrift ...` command of the README's CLI block, with its
+    backslash continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?^```\n(.*?)^```", text, re.M | re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("digitdrift ")]
+
+
+def test_readme_cli_block_has_every_verb():
+    verbs = {shlex.split(cmd)[1] for cmd in _cli_commands()}
+    assert verbs == {"dist", "blocks", "verify", "simulate", "clt", "phi"}
+
+
+@pytest.mark.parametrize("command", _cli_commands())
+def test_readme_cli_command_parses(command):
+    # parse only: a removed or misspelled option exits the parser with 2
+    try:
+        cli.build_parser().parse_args(shlex.split(command)[1:])
+    except SystemExit as exc:
+        pytest.fail(f"{command!r} does not parse (exit {exc.code})")

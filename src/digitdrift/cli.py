@@ -73,13 +73,37 @@ def fmt_rational(q: Fraction) -> str:
 
 
 def _atom_rows(dist):
-    """(k, d, reduced mass "n/d", its float) for each stored atom of dist,
-    read from its integers: one gcd per atom and no Fraction."""
+    """(k, d, reduced mass "a/c", its float) for each stored atom of dist,
+    read from its integers, with no Fraction.
+
+    Past r's digits each atom of a true law is the one before it over b
+    (m == b * n, which is checked): then a/c reduces from the atom before
+    with gcd(a, b) alone, since gcd(a, c) = 1, and str(a) is kept while a
+    stays. Any other atom takes one gcd with the denominator: when den is
+    a power of two (a law of a power-of-two base from the engine or the
+    cache), n <= den, so the gcd is n's lowest set bit."""
+    b = dist.base
     nums, den = dist._numerators
-    for k, n in enumerate(nums):
-        g = math.gcd(n, den)
-        n, d = n // g, den // g
-        yield k, dist.position(k), f"{n}/{d}", n / d
+    ds = range(dist.s_r, dist.position(len(nums)), 1 - b)
+    pow2 = not den & (den - 1)
+    m = 0  # the numerator before n; 0 sends the first atom to a gcd
+    for k, (d, n) in enumerate(zip(ds, nums)):
+        if n and m == b * n:
+            g = math.gcd(a, b)
+            c *= b // g
+            if g != 1:
+                a //= g
+                a_txt = str(a)
+        else:
+            if n and pow2:
+                t = (n & -n).bit_length() - 1
+                a, c = n >> t, den >> t
+            else:
+                g = math.gcd(n, den)
+                a, c = n // g, den // g
+            a_txt = str(a)
+        m = n
+        yield k, d, f"{a_txt}/{c}", a / c
 
 
 def fmt_float(x: float) -> str:
@@ -219,13 +243,18 @@ def _check_recursion(r: int, base: int) -> list[str]:
     law, law_lo, law_hi = (
         exactdist.distribution(u, base, atoms=max(ks)) for u in (r, rt, rt + 1)
     )
+    den, dl, dh = (u._numerators[1] for u in (law, law_lo, law_hi))
     for k in ks:
         d = law.position(k)
-        lhs = law.mass_at(d)
-        rhs = Fraction(base - r0, base) * law_lo.mass_at(d - r0) + Fraction(
-            r0, base
-        ) * law_hi.mass_at(d + base - r0)
-        if lhs != rhs:
+        n = law._numerator_at(d)
+        n_lo = law_lo._numerator_at(d - r0)
+        n_hi = law_hi._numerator_at(d + base - r0)
+        # n/den == (b-r0)/b * n_lo/dl + r0/b * n_hi/dh, cross-multiplied
+        if n * base * dl * dh != ((base - r0) * n_lo * dh + r0 * n_hi * dl) * den:
+            lhs = Fraction(n, den)
+            rhs = Fraction(base - r0, base) * Fraction(n_lo, dl) + Fraction(
+                r0, base
+            ) * Fraction(n_hi, dh)
             failures.append(f"recursion r={r} d={d}: {lhs} != {rhs}")
     return failures
 

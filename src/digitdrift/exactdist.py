@@ -103,12 +103,16 @@ class DriftDistribution:
         for k, m in enumerate(self.atoms):
             yield self.position(k), m
 
-    def mass_at(self, d: int) -> Fraction:
-        nums, den = self._numerators
+    def _numerator_at(self, d: int) -> int:
+        """The numerator of the mass at the integer d, over `_numerators`' den."""
+        nums = self._numerators[0]
         q, rem = divmod(self.s_r - d, self.base - 1)
         if rem != 0 or q < 0 or q >= len(nums):
-            return Fraction(0)
-        return Fraction(nums[q], den)
+            return 0
+        return nums[q]
+
+    def mass_at(self, d: int) -> Fraction:
+        return Fraction(self._numerator_at(d), self._numerators[1])
 
     @cached_property
     def normalized_support(self) -> tuple[np.ndarray, np.ndarray]:
@@ -220,8 +224,9 @@ def _carry_numerators(r: int, base: int, K: int) -> tuple[list[int], int]:
     (that digit is b-1), so x + r makes k carries with mass p[k] / b**L plus
     (b-1) * sum_{j<=k} q[j] * b**j / b**(L+k+1). Over the common denominator
     that is T_k * b**(K-k), T_k = b**(k+1) * p[k] + (b-1) * sum_{j<=k} q[j] * b**j,
-    and T_k is constant for k > L: past r's digits the atoms are geometric.
-    b**(K-k) grows by one factor of b per atom, not by a power per atom.
+    and T_k is constant for k > L: past r's digits the atoms are geometric,
+    each numerator b times the next one. b**(K-k) grows by one factor of b
+    per atom, not by a power per atom.
     """
     b = base
     digits = expand(r, b).digits
@@ -260,10 +265,14 @@ def _carry_numerators(r: int, base: int, K: int) -> tuple[list[int], int]:
         s += g * bj
         bj *= b
         T.append(bj * f + (b - 1) * s)
-    T.append((b - 1) * s)  # every k past the walk, where p[k] = 0
-    nums, pw = [0] * (K + 1), 1  # pw = b**(K-k)
-    for k in range(K, -1, -1):
-        nums[k] = T[min(k, len(T) - 1)] * pw
+    # every k past the walk, where p[k] = 0, has T_k = (b-1) * s
+    nums, x = [0] * (K + 1), (b - 1) * s
+    for k in range(K, n - 1, -1):
+        nums[k] = x
+        x *= b
+    pw = b ** (K + 1 - n)  # b**(K-k)
+    for k in range(n - 1, -1, -1):
+        nums[k] = T[k] * pw
         pw *= b
     return nums, b ** (K + 1 + len(digits))
 
@@ -303,9 +312,15 @@ def default_atom_cutoff(r: int, base: int, tail_eps: Fraction) -> int:
     is certainly at most tail_eps."""
     if tail_eps <= 0:
         raise ValueError("tail_eps must be positive")
-    # the tail past K = L + j is at most b**-(j+1), see carry_tail_probability_bound
-    K, bound = expand(r, base).digit_count(), tail_eps.numerator * base
-    while bound < tail_eps.denominator:
+    # the tail past K = L + j is at most b**-(j+1), see carry_tail_probability_bound,
+    # so K = L + j for the least j with num * b**(j+1) >= den. As den / num > 2**e,
+    # every j + 1 <= e / log2(b) falls short; the search starts one below that
+    # floor, so a rounding of the float quotient cannot start it past the answer
+    num, den = tail_eps.numerator, tail_eps.denominator
+    e = den.bit_length() - num.bit_length() - 1
+    j = max(0, int(e / math.log2(base)) - 1)
+    K, bound = expand(r, base).digit_count() + j, num * base ** (j + 1)
+    while bound < den:
         K, bound = K + 1, bound * base
     return K
 
@@ -370,18 +385,14 @@ def tail_abs_moment_bound(dist: DriftDistribution, power: int) -> Fraction:
         raise TailBoundUnavailable(
             f"atom cutoff K={K} is below the digit count {L} of r"
         )
-    y = Fraction(1, b)
     M = K + 1
-    # |d_k| = c + (b-1)*j for k = M + j > K >= L; expand the power
-    # binomially over the closed forms of sum_{j>=0} j**i * y**j, i <= 3.
+    # |d_k| = c + (b-1)*j for k = M + j > K >= L, at mass at most b**(L-M) * b**-j;
+    # expand the power binomially over the closed forms of sum_{j>=0} j**i / b**j,
+    # i <= 3, which are s_i / (b-1)**(i+1): the (b-1)**i of the expansion cancel
     c = (b - 1) * M - dist.s_r
-    z = 1 - y
-    sums = (1 / z, y / z**2, y * (1 + y) / z**3, y * (1 + 4 * y + y * y) / z**4)
-    total = sum(
-        math.comb(power, i) * c ** (power - i) * (b - 1) ** i * sums[i]
-        for i in range(power + 1)
-    )
-    return total * carry_tail_probability_bound(M, L, b)
+    s = (b, b, b * (b + 1), b * (b * b + 4 * b + 1))
+    total = sum(math.comb(power, i) * c ** (power - i) * s[i] for i in range(power + 1))
+    return Fraction(total, (b - 1) * b ** (M - L))
 
 
 def _stored_moment(dist: DriftDistribution, power: int) -> Fraction:

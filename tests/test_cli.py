@@ -18,7 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from digitdrift import exactdist, mixing, odometer, oracle
-from digitdrift.cli import _verify_r_values, main, parse_r, pattern_family, UsageError
+from digitdrift.cli import _atom_rows, _verify_r_values, main, parse_r, pattern_family, UsageError
 from digitdrift.digits import BlockKind, block_prefix_integers, decompose_blocks, expand
 from digitdrift.odometer import MAX_CELLS, MAX_SAMPLES
 
@@ -128,6 +128,37 @@ def test_dist_json_is_the_indent_2_layout(base, r, atoms):
     assert ("rho" in doc) == (r != "0")
     assert all(a["decimal"] == float(Fraction(a["mass"])) for a in doc["atoms"])
     assert len(doc["atoms"]) == doc["atom_count"] >= 1
+
+
+def _atom_row_laws(base, tmp_path):
+    """Laws of base for the row test: r = 0, r of 1 and of 6 digits, and
+    r = base**6 - 1, at the default cutoff and at K < L, each from the
+    engine and from the cache. Each is also built from its Fractions
+    scaled by 6/7, whose denominator is no power of base, and by
+    den / (den + 1), which leaves each numerator n over den + 1, coprime to
+    base: its tail numerators keep their factors of base."""
+    for r in (0, base - 1, 3 * base**5 + base**2 + 1, base**6 - 1):
+        for K in (None, 2):
+            law = exactdist.distribution(r, base, atoms=K)
+            K = len(law._numerators[0]) - 1
+            exactdist.save_cached_distribution(base, r, *law._numerators, str(tmp_path))
+            cached = exactdist.load_cached_distribution(base, r, K, str(tmp_path))
+            assert cached is not None
+            den = law._numerators[1]
+            for u in (law, cached):
+                yield u
+                for f in (Fraction(6, 7), Fraction(den, den + 1)):
+                    yield dataclasses.replace(u, atoms=tuple(m * f for m in u.atoms))
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 200, 2**40 + 5])
+def test_atom_rows_are_the_reduced_fractions(tmp_path, base):
+    for law in _atom_row_laws(base, tmp_path):
+        nums, den = law._numerators
+        assert list(_atom_rows(law)) == [
+            (k, law.position(k), exactdist.rational_str(Fraction(n, den)), float(Fraction(n, den)))
+            for k, n in enumerate(nums)
+        ]
 
 
 def test_cache_default_is_read_on_every_call(capsys, monkeypatch, tmp_path):
@@ -394,6 +425,11 @@ def test_verify_prints_each_failure_and_exits_1(capsys, monkeypatch, check):
     assert all(line.startswith(f"FAIL {check} r=1") for line in fails)
     if check != "recursion":  # recursion prints one line per bad point
         assert len(fails) == 2
+    else:  # each r reads its last stored atom once, and the text is pinned
+        assert fails == [
+            "FAIL recursion r=12 d=-42: 450027/625000 != 27/625000",
+            "FAIL recursion r=13 d=-41: 6300603/10000000 != 603/10000000",
+        ]
 
 
 def test_simulate_deterministic(capsys, tmp_cache):

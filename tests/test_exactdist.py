@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import tempfile
@@ -606,6 +607,34 @@ def test_tail_abs_moment_bound_is_the_series_limit(r, b, K):
             Fraction(abs(d.position(k)) ** p * b**L, b**k) for k in range(K + 1, K + 200)
         )
         assert 0 < bound - partial < Fraction(1, 10**30)
+
+
+def reference_tail_abs_moment_bound(dist, power):
+    """The tail bound as Fraction arithmetic over the closed forms of
+    sum_{j>=0} j**i * y**j, y = 1/b, times the geometric carry bound."""
+    b = dist.base
+    L = len(expand(dist.r, b).digits)
+    M = len(dist.atoms)
+    y = Fraction(1, b)
+    c = (b - 1) * M - dist.s_r
+    z = 1 - y
+    sums = (1 / z, y / z**2, y * (1 + y) / z**3, y * (1 + 4 * y + y * y) / z**4)
+    total = sum(
+        math.comb(power, i) * c ** (power - i) * (b - 1) ** i * sums[i]
+        for i in range(power + 1)
+    )
+    return total * carry_tail_probability_bound(M, L, b)
+
+
+@given(
+    st.sampled_from([2, 3, 10, 200, 2**40 + 5]),
+    st.integers(1, 10**40),
+    st.integers(0, 40),
+)
+def test_tail_abs_moment_bound_is_the_closed_form(base, r, extra):
+    d = distribution(r, base, atoms=len(expand(r, base).digits) + extra)
+    for p in range(4):
+        assert tail_abs_moment_bound(d, p) == reference_tail_abs_moment_bound(d, p)
 
 
 def test_tail_bound_requires_enough_atoms():

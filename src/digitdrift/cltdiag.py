@@ -7,6 +7,7 @@ with the block count.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,6 +130,93 @@ def ks_distance(dist: DriftDistribution) -> tuple[float, float]:
 GAUSS_NODES = 64
 _leg_nodes, _leg_weights = np.polynomial.legendre.leggauss(GAUSS_NODES)
 _profile_at_nodes = np.array([mollifier_profile((1.0 + u) / 2.0) for u in _leg_nodes])
+# the chain check's screening rule (mollifier_chain_check). 16 nodes keep
+# its margin at the rounding allowance out to eps ~ 2.5 (8 nodes to ~ 0.7,
+# 12 to ~ 1.8): on the clt-warm laws at eps = 3 it leaves 1 point to the
+# 64-node rule, where 12 nodes leave 37 and 8 the whole grid, and it costs
+# about 0.04 ms more per check than 8 nodes
+SCREEN_NODES = 16
+_screen_nodes, _screen_leg_weights = np.polynomial.legendre.leggauss(SCREEN_NODES)
+# weight * profile at the node * 1/sqrt(2 pi), one product per node
+_screen_weights = (
+    _screen_leg_weights
+    * np.array([mollifier_profile((1.0 + u) / 2.0) for u in _screen_nodes])
+    / SQRT2PI
+)
+
+# In u = (x - t)/eps the ramp integral is int_{-1}^{1} f(u) du with
+# f(u) = eps p(u) phi(t + eps u), p(u) = profile((1 + u)/2) = sum_i a_i u^i
+# of degree 7; profile(s) = 1 - 35 s^4 + 84 s^5 - 70 s^6 + 20 s^7.
+_RAMP_POLY = [
+    sum(c * math.comb(j, i) / 2**j for j, c in enumerate((1, 0, 0, 0, -35, 84, -70, 20)))
+    for i in range(8)
+]
+# sup over [-1, 1] of |p^(k)|, k = 0..7, bounded by the sum of |coefficients|
+# of p^(k) (dyadic rationals, exact in floats)
+_RAMP_POLY_DERIV_SUP = [
+    sum(abs(a) * math.perm(i, k) for i, a in enumerate(_RAMP_POLY)) for k in range(8)
+]
+# Cramer's inequality |He_m(x)| e^(-x^2/4) <= K sqrt(m!), so
+# |phi^(m)| = |He_m| phi <= K sqrt(m!) / sqrt(2 pi) on the whole line
+CRAMER_K = 1.086435
+
+
+@functools.cache
+def _error_bound_logs(n: int) -> tuple[float, tuple[float, ...]]:
+    """log of the n-node constant 2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) times
+    K / sqrt(2 pi), and log C(2n, k) sup|p^(k)| sqrt((2n-k)!) for k = 0..7:
+    the parts of gauss_legendre_error_bound that do not depend on eps."""
+    m = 2 * n
+    log_const = (
+        (m + 1) * math.log(2.0) + 4 * math.lgamma(n + 1) - math.log(m + 1)
+        - 3 * math.lgamma(m + 1) + math.log(CRAMER_K / SQRT2PI)
+    )
+    log_coefs = tuple(
+        math.lgamma(m + 1) - math.lgamma(k + 1) - 0.5 * math.lgamma(m - k + 1) + math.log(sup_pk)
+        for k, sup_pk in enumerate(_RAMP_POLY_DERIV_SUP)
+    )
+    return log_const, log_coefs
+
+
+def gauss_legendre_error_bound(n: int, eps: float) -> float:
+    """Bound on |n-node Gauss-Legendre sum - exact ramp integral| for every
+    shift t at width eps: 2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) sup|f^(2n)|,
+    with sup|f^(2n)| <= eps sum_k C(2n, k) sup|p^(k)| eps^(2n-k) sup|phi^(2n-k)|
+    by Leibniz (p^(k) = 0 past k = 7). Summed in log space; inf when it
+    overflows. The exponent's own rounding (lgamma and log, relative
+    1e-13) is covered by adding 1e-9 to it."""
+    log_const, log_coefs = _error_bound_logs(n)
+    log_eps = math.log(eps)
+    terms = [c + (2 * n - k) * log_eps for k, c in enumerate(log_coefs)]
+    top = max(terms)
+    log_bound = log_const + log_eps + top + math.log(sum(math.exp(x - top) for x in terms)) + 1e-9
+    return math.exp(log_bound) if log_bound < 709.0 else math.inf
+
+
+def _widest_certified_eps(n: int, tol: float) -> float:
+    """The largest double eps with gauss_legendre_error_bound(n, eps) <= tol
+    (the bound grows with eps), by doubling and then bisection."""
+    lo, hi = 1.0, 2.0
+    while gauss_legendre_error_bound(n, hi) <= tol:
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if gauss_legendre_error_bound(n, mid) <= tol else (lo, mid)
+    return lo
+
+
+# the widest mollifier ramp the 64-node rule resolves to 2^-40 (about 10.6):
+# the Gaussian side (gaussian_mollifier_expectation, smooth_gap's mollifier,
+# mollifier_chain_check) refuses a wider one
+GAUSS_EPS_MAX = _widest_certified_eps(GAUSS_NODES, 2.0**-40)
+
+
+def _check_quadrature_eps(eps: float) -> None:
+    _check_eps(eps)
+    if eps > GAUSS_EPS_MAX:
+        raise InvalidEpsilon(
+            f"eps must be <= GAUSS_EPS_MAX = {GAUSS_EPS_MAX!r}, the widest ramp "
+            f"{GAUSS_NODES} Gauss-Legendre nodes resolve to 2^-40, got {eps}"
+        )
 
 
 def gaussian_mollifier_expectation(t: float, eps: float) -> float:
@@ -137,7 +225,7 @@ def gaussian_mollifier_expectation(t: float, eps: float) -> float:
     for _gaussian_mollifier_expectations."""
     if not math.isfinite(t):
         raise ValueError(f"shift point t must be finite, got {t}")
-    _check_eps(eps)
+    _check_quadrature_eps(eps)
     x = t + eps * _leg_nodes
     dens = np.exp(-0.5 * x * x) / SQRT2PI
     ramp = eps * float(np.sum(_leg_weights * _profile_at_nodes * dens))
@@ -157,6 +245,17 @@ def _gaussian_mollifier_expectations(ts: np.ndarray, eps: float) -> np.ndarray:
     dens *= _leg_weights * _profile_at_nodes
     ramp = eps * dens.sum(axis=1)
     return _normal_cdf_array(ts - eps) + ramp
+
+
+def _screen_ramps(ts: np.ndarray, eps: float) -> np.ndarray:
+    """The ramp part of E h_t(Y) for every t in ts by the SCREEN_NODES rule,
+    within gauss_legendre_error_bound(SCREEN_NODES, eps) plus rounding of
+    the exact integral."""
+    x = ts[:, None] + eps * _screen_nodes
+    dens = x * -0.5
+    dens *= x
+    np.exp(dens, out=dens)
+    return eps * (dens @ _screen_weights)
 
 
 def _ramp_window(pos: np.ndarray, c, two_eps: float):
@@ -205,7 +304,7 @@ def smooth_gap(dist: DriftDistribution, h) -> float:
         e_y = 0.0
     elif isinstance(h, tuple) and h[0] == "mollifier":
         _, t, eps = h
-        _check_eps(eps)
+        _check_quadrature_eps(eps)
         e_y = gaussian_mollifier_expectation(t, eps)
         j0, j1 = (int(j) for j in _ramp_window(pos, eps - t, 2.0 * eps))
         # mollifier(t, eps, u) per atom, with eps checked once; the clipped
@@ -272,25 +371,74 @@ def _mollifier_expectations_z(
     return e_z
 
 
+# Where the sup of the chain check can sit. Let V(t) = |e_z(t) - e_y(t)| be
+# the gap with the 64-node e_y (_gaussian_mollifier_expectations) and A(t)
+# the same with the SCREEN_NODES ramp, both as computed, on the same e_z
+# and Phi(t - eps). Then |A(t) - V(t)| <= delta = T16 + T64 + R:
+# - T_n = gauss_legendre_error_bound(n, eps) bounds each rule's error on
+#   the exact integral;
+# - R = 2^-30 bounds what floats add, for eps <= GAUSS_EPS_MAX (about
+#   10.6). A rule sums eps w p phi(t + eps u) over its nodes, with w > 0
+#   summing to 2, 0 <= p <= 1 and phi <= 0.4. numpy's nodes are within
+#   2^-53 of the exact ones, its weights within 2^-45.7 in total and the
+#   profile at the nodes within 2^-46, so the stored constants move a rule
+#   by under 0.4 eps (2^-45.7 + 2 * 2^-46) < 2^-42. phi(x) comes out within
+#   (1.5 x^2 + 10) 2^-53 of itself, relative: x and x^2 / 2 round once
+#   each, and exp (4 ulp) and the scaling by 1/sqrt(2 pi) add the 10. As
+#   |x^2 phi(x)| <= 0.3, that moves a rule by under 2 eps 4.5 2^-53 < 2^-46.
+#   Summing <= 64 positive terms of total <= 1 adds 2^-47. Both rules,
+#   Phi + ramp, e_z - e_y and the threshold below stay under 2^-40 in all,
+#   2^10 times below R.
+# A dropped t has A(t) < max A - 2 delta, so
+#   V(t) <= A(t) + delta < max A - delta <= V(t*)
+# for t* an arg-max of A, which is always kept. So the max of V over the
+# kept points is the max over all of them, and it is the same double: the
+# 64-node rule and the max run per point (row by row, like the scalar
+# twin gaussian_mollifier_expectation), whatever else is in the batch.
+SCREEN_ROUNDING = 2.0**-30
+
+
+def _screen_margin(eps: float) -> float:
+    """delta of the screen: T16 + T64 + R (see above); inf past the bound."""
+    return (
+        gauss_legendre_error_bound(SCREEN_NODES, eps)
+        + gauss_legendre_error_bound(GAUSS_NODES, eps)
+        + SCREEN_ROUNDING
+    )
+
+
+def _sup_candidates(a: np.ndarray, delta: float) -> np.ndarray:
+    """Mask of the points whose screened gap a is within 2 delta of the
+    max, where the max of the 64-node gap can sit; every point if a value
+    of a or delta is not finite (the 64-node pass over all of them)."""
+    if not (math.isfinite(delta) and np.isfinite(a).all()):
+        return np.ones(len(a), dtype=bool)
+    return a >= a.max() - 2.0 * delta
+
+
 def mollifier_chain_check(dist: DriftDistribution, eps: float) -> MollifierChainCheck:
     """Numerical check that the CDF distance is controlled by the mollifier
     gaps plus 4 eps / sqrt(2 pi).
 
     The smooth sup is taken over a grid of shift points covering the
-    support, including every atom and its eps-shifts. Both sides are
-    evaluated for all shift points at once: E h_t(Z) as a banded sum over
-    each point's ramp window (_mollifier_expectations_z), E h_t(Y) by
-    _gaussian_mollifier_expectations.
+    support, including every atom and its eps-shifts. E h_t(Z) is a banded
+    sum over each point's ramp window (_mollifier_expectations_z) at all
+    shift points at once. E h_t(Y) is screened at all of them with
+    SCREEN_NODES nodes and a certified margin, and the 64-node rule
+    (_gaussian_mollifier_expectations) runs only where the sup can sit: the
+    result is the 64-node sup over the whole grid, bit for bit.
     """
-    _check_eps(eps)
+    _check_quadrature_eps(eps)
     _, ks_hi = ks_distance(dist)
     pos, mass = normalized_support(dist)
     tail = float(dist.tail_mass)
     span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, CHAIN_GRID_POINTS)
     ts = np.unique(np.concatenate([span, pos, pos - eps, pos + eps]))
-    e_y = _gaussian_mollifier_expectations(ts, eps)
     e_z = _mollifier_expectations_z(pos, mass, ts, eps) + tail
-    smooth_sup = float(np.max(np.abs(e_z - e_y)))
+    screened = np.abs(e_z - (_normal_cdf_array(ts - eps) + _screen_ramps(ts, eps)))
+    keep = _sup_candidates(screened, _screen_margin(eps))
+    e_y = _gaussian_mollifier_expectations(ts[keep], eps)
+    smooth_sup = float(np.max(np.abs(e_z[keep] - e_y)))
     return MollifierChainCheck(eps, ks_hi, smooth_sup, 4.0 * eps / SQRT2PI)
 
 

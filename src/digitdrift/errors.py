@@ -43,7 +43,8 @@ class InsufficientSamples(DigitDriftError):
 
 
 class InvalidEpsilon(DigitDriftError):
-    """Mollifier width must be strictly positive."""
+    """Mollifier width must be finite and > 0, and on the Gaussian side no
+    wider than cltdiag.GAUSS_EPS_MAX."""
 
 
 class LevelTooSmall(DigitDriftError):

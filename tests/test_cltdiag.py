@@ -9,13 +9,20 @@ import scipy.integrate
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from digitdrift import cltdiag
 from digitdrift.cltdiag import (
     CHAIN_GRID_POINTS,
+    GAUSS_EPS_MAX,
+    GAUSS_NODES,
     MOLLIFIER_D3_SUP,
     RATE_MIN_RHO,
     _gaussian_mollifier_expectations,
     _mollifier_expectations_z,
     _normal_cdf_array,
+    _screen_margin,
+    _screen_ramps,
+    _sup_candidates,
+    gauss_legendre_error_bound,
     gaussian_mollifier_expectation,
     ks_distance,
     local_limit_gap,
@@ -42,6 +49,7 @@ from digitdrift.exactdist import (
 )
 
 PINNED = Path(__file__).parent / "data" / "cltdiag_pinned.json"
+CHAIN_PINNED = Path(__file__).parent / "data" / "chain_pinned.json"
 
 
 def pattern_10(m):
@@ -242,6 +250,24 @@ def test_gaussian_mollifier_expectation_two_ways():
             assert abs(via_gl - via_quad) < 1e-8
 
 
+@pytest.mark.parametrize("eps", [1.0, 5.0, 10.0])
+def test_gaussian_mollifier_expectation_matches_quad_on_wide_ramps(eps):
+    # wide ramps, up to near GAUSS_EPS_MAX: the 64 nodes still resolve phi
+    for t in (-1.0, 0.0, 1.3, 2.5):
+        via_quad, err = scipy.integrate.quad(
+            lambda u: mollifier(t, eps, u) * normal_pdf(u),
+            t - eps,
+            t + eps,
+            points=[0.0],
+            epsabs=1e-14,
+            epsrel=1e-14,
+            limit=200,
+        )
+        via_quad += normal_cdf(t - eps)
+        assert err < 1e-13
+        assert abs(gaussian_mollifier_expectation(t, eps) - via_quad) < 1e-12, (t, eps)
+
+
 def test_smooth_gap_mollifier_matches_quad():
     d = distribution(118, 2)
     got = smooth_gap(d, ("mollifier", 0.5, 0.1))
@@ -396,8 +422,6 @@ def test_banded_mollifier_sum_where_shifts_overflow():
     st.floats(1e-6, 5.0),
     st.one_of(st.floats(-8.0, 8.0), atom_shifts),
 )
-@example((118, 2), 1e308, -1e308)
-@example((118, 2), 1e308, 1e308)
 def test_windowed_mollifier_gap_is_the_all_atom_loop(law, eps, shift):
     d = distribution(*law)
     if isinstance(shift, tuple):
@@ -426,6 +450,73 @@ def test_diagnostics_match_pinned_float_hex():
             assert local_limit_gap(r, point, dist=d).hex() == want, (r, point)
 
 
+def full_chain_sup(d, eps):
+    # the chain check's grid and E h_t(Z), with the 64-node rule at every
+    # shift point: (ts, E h_t(Y) by 64 nodes, the sup of the gap)
+    pos, mass = normalized_support(d)
+    span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, CHAIN_GRID_POINTS)
+    ts = np.unique(np.concatenate([span, pos, pos - eps, pos + eps]))
+    e_z = _mollifier_expectations_z(pos, mass, ts, eps) + float(d.tail_mass)
+    e_y = _gaussian_mollifier_expectations(ts, eps)
+    return ts, e_y, float(np.max(np.abs(e_z - e_y)))
+
+
+def assert_screened_sup_is_the_full_sup(d, eps):
+    ts, e_y, want = full_chain_sup(d, eps)
+    got = mollifier_chain_check(d, eps).smooth_sup
+    assert got.hex() == want.hex(), (d.r, d.base, eps)
+    # the margin bounds the gap between the screening rule and 64 nodes
+    screened = _normal_cdf_array(ts - eps) + _screen_ramps(ts, eps)
+    assert float(np.max(np.abs(screened - e_y))) <= _screen_margin(eps), (d.r, d.base, eps)
+
+
+@given(random_laws, st.floats(1e-6, GAUSS_EPS_MAX))
+def test_screened_chain_sup_is_the_full_64_node_sup(law, eps):
+    assert_screened_sup_is_the_full_sup(distribution(*law), eps)
+
+
+@pytest.mark.parametrize(
+    "law, eps",
+    [((0, 2), 0.05), ((0, 10), 2.0), ((118, 2), GAUSS_EPS_MAX), ((5900991, 10), GAUSS_EPS_MAX)],
+)
+@pytest.mark.parametrize("infinite_margin", [False, True])
+def test_screened_chain_sup_where_every_point_is_kept(law, eps, infinite_margin, monkeypatch):
+    # r = 0 (one atom), eps at the limit, where the 16-node margin spans
+    # the whole gap, and an infinite margin: the 64-node pass over the grid
+    if infinite_margin:
+        monkeypatch.setattr(cltdiag, "_screen_margin", lambda eps: math.inf)
+    assert_screened_sup_is_the_full_sup(distribution(*law), eps)
+
+
+def test_ramp_polynomial_is_the_profile():
+    # the coefficients gauss_legendre_error_bound differentiates
+    for u in np.linspace(-1.0, 1.0, 17):
+        got = np.polynomial.polynomial.polyval(u, cltdiag._RAMP_POLY)
+        assert got == pytest.approx(mollifier_profile((1.0 + u) / 2.0), abs=1e-15), u
+
+
+def test_sup_candidates_keep_twice_the_margin():
+    delta = 2.0**-20
+    # a point 1.5 delta below the screened max can hold the 64-node max:
+    # the two 64-node values may be 1 - delta and 1 - 0.5 delta
+    a = np.array([1.0, 1.0 - 1.5 * delta, 1.0 - 2.5 * delta, 0.0])
+    assert _sup_candidates(a, delta).tolist() == [True, True, False, False]
+    assert _sup_candidates(a, math.inf).all()
+    assert _sup_candidates(np.append(a, math.nan), delta).all()
+
+
+def test_chain_check_matches_pinned_float_hex():
+    # float.hex recorded before the Gaussian side was screened: (10)^m in
+    # base 2 for m = 2..64 and (19)^m in base 10 for m = 1..32 at three
+    # widths, and criterion 9d's (10)^128 and (10)^256
+    for case in json.loads(CHAIN_PINNED.read_text()):
+        b = case["base"]
+        d = distribution(int(case["pattern"] * case["m"], b), b)
+        for eps, *want in case["chain"]:
+            chk = mollifier_chain_check(d, eps)
+            assert [chk.ks_hi.hex(), chk.smooth_sup.hex(), chk.slack.hex()] == want, (case, eps)
+
+
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
 def test_non_finite_or_nonpositive_eps_is_rejected(eps):
     d = distribution(118, 2)
@@ -439,6 +530,29 @@ def test_non_finite_or_nonpositive_eps_is_rejected(eps):
         smooth_gap(d, ("mollifier", 0.5, eps))
     with pytest.raises(InvalidEpsilon):
         mollifier_chain_check(d, eps)
+
+
+def test_eps_past_the_quadrature_limit_is_rejected():
+    # GAUSS_EPS_MAX is where the 64-node error bound crosses 2^-40
+    past = float(np.nextafter(GAUSS_EPS_MAX, math.inf))
+    assert gauss_legendre_error_bound(GAUSS_NODES, GAUSS_EPS_MAX) <= 2.0**-40
+    assert gauss_legendre_error_bound(GAUSS_NODES, past) > 2.0**-40
+    d = distribution(118, 2)
+    for eps in (past, 20.0, 1e10, 1e308):
+        with pytest.raises(InvalidEpsilon, match="GAUSS_EPS_MAX"):
+            gaussian_mollifier_expectation(0.5, eps)
+        with pytest.raises(InvalidEpsilon, match="GAUSS_EPS_MAX"):
+            smooth_gap(d, ("mollifier", 0.5, eps))
+        with pytest.raises(InvalidEpsilon, match="GAUSS_EPS_MAX"):
+            mollifier_chain_check(d, eps)
+        # no quadrature here: the limit does not apply
+        assert 0.0 <= mollifier(0.5, eps, 0.0) <= 1.0
+    assert mollifier_d3_norm(1e10) > 0.0
+    # the shifts test_windowed_mollifier_gap_is_the_all_atom_loop once ran
+    # at eps = 1e308, where the gap overflowed
+    for shift in (-1e308, 1e308):
+        with pytest.raises(InvalidEpsilon):
+            smooth_gap(d, ("mollifier", shift, 1e308))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])

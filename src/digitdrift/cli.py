@@ -232,17 +232,25 @@ def _verify_r_values(args) -> list[int] | range:
     return range(lo, hi + 1)  # lazy: 1..10**9 holds no list of 10**9 ints
 
 
-def _check_recursion(r: int, base: int) -> list[str]:
-    """One-digit recursion identity at random on-lattice points."""
-    failures = []
+def _recursion_points(r: int, base: int) -> list[int]:
+    """The carry indices the recursion check reads, drawn per r."""
     rnd = random.Random(r)  # keyed per r
-    ks = [rnd.randrange(0, 2 * expand(r, base).digit_count() + 2) for _ in range(3)]
+    return [rnd.randrange(0, 2 * expand(r, base).digit_count() + 2) for _ in range(3)]
+
+
+def _reverse_cutoff(r: int, base: int) -> int:
+    """The atoms 0..K the reverse check compares."""
+    return min(40, exactdist.default_atom_cutoff(r, base, exactdist.DEFAULT_TAIL_EPS))
+
+
+def _check_recursion(r: int, base: int, law, ks: list[int]) -> list[str]:
+    """One-digit recursion identity at the carry indices ks, law being r's
+    law with at least max(ks) atoms."""
+    failures = []
     rt, r0 = divmod(r, base)
     # the points read from rt and rt + 1 sit at carry index k and k-1-(trailing
     # b-1 digits of rt), so max(ks) atoms cover all three laws
-    law, law_lo, law_hi = (
-        exactdist.distribution(u, base, atoms=max(ks)) for u in (r, rt, rt + 1)
-    )
+    law_lo, law_hi = (exactdist.distribution(u, base, atoms=max(ks)) for u in (rt, rt + 1))
     den, dl, dh = (u._numerators[1] for u in (law, law_lo, law_hi))
     for k in ks:
         d = law.position(k)
@@ -259,12 +267,12 @@ def _check_recursion(r: int, base: int) -> list[str]:
     return failures
 
 
-def _check_reverse(r: int, base: int) -> list[str]:
+def _check_reverse(r: int, base: int, law, k_max: int) -> list[str]:
+    """Atoms 0..k_max of r and of its reverse agree, law being r's law with
+    at least k_max atoms."""
     rev = reverse_expansion(expand(r, base)).value()
-    k_max = min(40, exactdist.default_atom_cutoff(r, base, exactdist.DEFAULT_TAIL_EPS))
-    (na, da), (nb, db) = (
-        exactdist.distribution(u, base, atoms=k_max)._numerators for u in (r, rev)
-    )
+    na, da = law._numerators
+    nb, db = exactdist.distribution(rev, base, atoms=k_max)._numerators
     # cross-multiplied: rev has fewer digits than r when r ends in zeros
     bad = next((k for k in range(k_max + 1) if na[k] * db != nb[k] * da), None)
     if bad is not None:
@@ -310,10 +318,17 @@ def cmd_verify(args) -> int:
 
     failures = []
     for r in r_values:
+        if "recursion" in checks or "reverse" in checks:
+            # both cross-multiply r's numerators, so more atoms than either
+            # reads change no verdict and no reduced text: one walk of r at
+            # the larger need serves both
+            ks = _recursion_points(r, args.base) if "recursion" in checks else []
+            k_max = _reverse_cutoff(r, args.base) if "reverse" in checks else 0
+            law = exactdist.distribution(r, args.base, atoms=max(ks + [k_max]))
         if "recursion" in checks:
-            failures += _check_recursion(r, args.base)
+            failures += _check_recursion(r, args.base, law, ks)
         if "reverse" in checks:
-            failures += _check_reverse(r, args.base)
+            failures += _check_reverse(r, args.base, law, k_max)
         if "bounds" in checks:
             failures += _check_bounds(r, args.base)
         if "enclosure" in checks:

@@ -83,8 +83,20 @@ def mollifier(t: float, eps: float, u: float) -> float:
 
 
 def mollifier_d3_norm(eps: float) -> float:
+    """MOLLIFIER_D3_SUP / (8 eps^3) for every finite eps > 0: inf where it
+    overflows, 0.0 only below half the smallest subnormal."""
     _check_eps(eps)
-    return MOLLIFIER_D3_SUP / (8.0 * eps**3)
+    try:
+        denom = 8.0 * eps**3
+    except OverflowError:  # eps**3 past the largest double
+        denom = math.inf
+    if 0.0 < denom < math.inf:
+        return MOLLIFIER_D3_SUP / denom
+    # eps^3 under- or overflowed: the exact quotient, rounded once
+    try:
+        return float(Fraction(MOLLIFIER_D3_SUP) / (8 * Fraction(eps) ** 3))
+    except OverflowError:
+        return math.inf
 
 
 # --- normalized atoms -------------------------------------------------------
@@ -416,14 +428,150 @@ def _sup_candidates(a: np.ndarray, delta: float) -> np.ndarray:
     return a >= a.max() - 2.0 * delta
 
 
+# The cut: which grid points can hold the sup at all (_chain_grid). Let
+# u = 2^-53, n the atom count (n < 2^40), cum the np.cumsum of the masses
+# after a 0 (it adds in atom order, so cum is nondecreasing), omega =
+# |1 - tail - cum[n]| (the masses round a law's, which sum to at most 1,
+# and 0 <= tail < 1, so omega < 2), [j0, j1) a point's window from
+# _ramp_window, E_z and E_y the computed E h_t(Z) (banded sum, then + tail)
+# and 64-node E h_t(Y), G = E h_t(Y) exactly, and Phi the exact normal CDF.
+# The shift points are finite (the atoms are normalized, eps <=
+# GAUSS_EPS_MAX), so every window is the searchsorted one. With
+#   BL(t) = max(fl(cum[j1] + tail), Phi(t + eps))  (nondecreasing in t),
+#   BR(t) = max(fl(cum[n] - cum[j0]), Phi(eps - t))  (nonincreasing in t),
+#   allowance = T64 + R + omega + Z,  Z = (n + 2^12) 2^-52 (1 + omega),
+# we show V(t) < min(BL(t), BR(t)) + allowance - PHI, PHI = 2^-41. Facts:
+# (a) E_z <= fl(cum[j1] + tail), with no rounding term: the banded sum
+#     starts at cum[j0] and adds the window terms in atom order, each at
+#     most its mass (the computed profile is 1.0 minus a product of
+#     nonnegative factors), then zeros; cum adds the masses themselves in
+#     the same order, and rounding is monotone.
+# (b) E_z >= cum[j0] + tail - Z/2 - e, e < 2^-50. The computed profile is
+#     within 2^-41 of the exact one, which is >= 0 (nine roundings of at
+#     most u times an intermediate below 209 in 1 - t^4 (35 - 84 t + 70 t t
+#     - 20 t^3), t^4 and t^3 within 3u, t^4 <= 1), so the window terms add
+#     at least -2^-41 (1 + 2 (n + 1) u) (1 + omega), the masses summing to
+#     at most cum[n] / (1 - n u) <= (1 + omega) / (1 - n u); the <= n + 1
+#     additions (window terms, then tail) round by at most u (1 + omega)
+#     each, no partial sum being larger. With Z/2 = n u (1 + omega) +
+#     2^-41 (1 + omega), that leaves e = u (1 + omega) (1 + 2^-40 (n + 1)).
+# (c) |E_y - G| <= T64 + R', R' = 2^-39: the rule's float terms stay under
+#     2^-40 (above); 0.5 math.erfc (the C library's, a few ulp) and the
+#     roundings of its argument (t -+ eps, the division by the rounded
+#     sqrt 2, each moving Phi by at most u sup |x phi(x)| < u) put
+#     normal_cdf within PHI of Phi at the real point; the sum rounds once.
+# (d) 0 <= G <= Phi(t + eps) and 1 - G <= Phi(eps - t): h_t is 0 past
+#     t + eps and 1 before t - eps.
+# (e) E_z <= fl(cum[n] + tail) <= 1 + omega + 3u by (a); omega as computed
+#     is within 3u (1 + omega) of the exact one; the allowance's own
+#     roundings are under 10u; and V = fl(|E_z - E_y|) adds at most 7u, as
+#     |E_z|, |E_y| < 3.1.
+# Left: E_z - E_y <= fl(cum[j1] + tail) + T64 + R' by (a), (c), (d); and
+# E_y - E_z <= Phi(t + eps) + T64 + R' + Z/2 + e by (b), (c), (d).
+# Right, as 1 - tail - cum[j0] = (cum[n] - cum[j0]) + (1 - tail - cum[n])
+# and the exact difference cum[n] - cum[j0] is within 3u of its rounding:
+# E_y - E_z = (1 - E_z) + (E_y - 1) <= fl(cum[n] - cum[j0]) + 3u + omega
+# + Z/2 + e + T64 + R' by (b), (c), (d); and E_z - E_y = (E_z - 1) +
+# (1 - E_y) <= omega + 3u + Phi(eps - t) + T64 + R' by (e), (c), (d).
+# In all four, with the roundings of (e), V(t) <= B(t) + T64 + R' +
+# omega + Z/2 + 2^-46 < B(t) + allowance - PHI, as R' + PHI + 2^-46 <
+# 2^-38 < R; B is BL on the left and BR on the right, so V is under both.
+# A dropped t has fl(fl(cum[j1] + tail) + allowance) < theta (theta is a
+# double, rounding monotone, so fl(cum[j1] + tail) < theta - allowance) and
+# t <= g_lo, where fl(normal_cdf(g_lo + eps) + allowance) < theta, so
+# Phi(t + eps) <= Phi(g_lo + eps) < theta - allowance + PHI by (c); so
+# BL(t) < theta - allowance + PHI and V(t) < theta. Or the mirror on the
+# right, with fl(cum[n] - cum[j0]) and g_hi. And theta <= max V: the
+# coarse points are grid points; at the arg-max t* of A over them the
+# screen's own bound gives V(t*) >= max A - T16 - T64 - 2^-40 (its floats,
+# before R), while theta = fl(max A - delta) <= max A - T16 - T64 - R +
+# 2^-50. So every t with V(t) >= theta is kept, with the arg-max of V among
+# them; the screen's argument above holds on any set of grid points that
+# contains it, so it finds the max over the kept points, which is the max
+# over the whole grid, and the same double, as V is computed per point
+# whatever else is in the batch. Where theta is not a finite number above
+# the allowance (a gap not a number) nothing could be cut, and the whole
+# grid is used. So it is, without the coarse screen, where delta >= ks_hi
+# (delta = inf among them; delta > 1 from eps = 6 up): h_t falls from 1 to
+# 0, so the exact gap is an average of F_Z - Phi and at most the KS
+# distance, and theta = max A - delta could pass the allowance only by the
+# 16-node rule's own error, not by its bound. The whole grid is always a
+# sound choice; this one only saves the screen where the cut finds nothing.
+CUT_STRIDE = 16  # every CUT_STRIDE-th span point screens for theta
+
+
+def _screened_gaps(
+    pos: np.ndarray, mass: np.ndarray, tail: float, ts: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(e_z, A) at every t in ts: E h_t(Z) with the tail, and the screened
+    gap |e_z - (Phi(t - eps) + the SCREEN_NODES ramp)|."""
+    e_z = _mollifier_expectations_z(pos, mass, ts, eps) + tail
+    return e_z, np.abs(e_z - (_normal_cdf_array(ts - eps) + _screen_ramps(ts, eps)))
+
+
+def _cut_allowance(eps: float, n: int, omega: float) -> float:
+    """The cut's allowance T64 + R + omega + Z for n atoms (see above)."""
+    z = (n + 2**12) * 2.0**-52 * (1.0 + omega)
+    return gauss_legendre_error_bound(GAUSS_NODES, eps) + SCREEN_ROUNDING + omega + z
+
+
+def _gaussian_cut(ts: np.ndarray, eps: float, allowance: float, theta: float) -> float:
+    """A t in ts (ascending) with fl(normal_cdf(t + eps) + allowance) <
+    theta, the last one by bisection, or -inf if none is found. Only the
+    returned point's test is relied on: Phi is increasing, so every t' up
+    to it has Phi(t' + eps) < theta - allowance + PHI."""
+    lo, hi = -1, len(ts)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if normal_cdf(float(ts[mid]) + eps) + allowance < theta:
+            lo = mid
+        else:
+            hi = mid
+    return float(ts[lo]) if lo >= 0 else -math.inf
+
+
+def _chain_grid(
+    pos: np.ndarray, mass: np.ndarray, tail: float, eps: float, delta: float, ks_hi: float
+) -> np.ndarray:
+    """The chain check's shift points (the span, every atom and its
+    eps-shifts, ascending and distinct) where the gap can reach theta =
+    max A - delta over every CUT_STRIDE-th span point; all of them where
+    delta >= ks_hi (see above)."""
+    span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, CHAIN_GRID_POINTS)
+    grid = np.concatenate([span, pos, pos - eps, pos + eps])
+    if not delta < ks_hi:
+        return np.unique(grid)
+    theta = float(_screened_gaps(pos, mass, tail, span[::CUT_STRIDE], eps)[1].max()) - delta
+    cum = np.concatenate(([0.0], np.cumsum(mass)))
+    allowance = _cut_allowance(eps, len(pos), abs(1.0 - tail - float(cum[-1])))
+    if not (math.isfinite(theta) and theta > allowance):
+        return np.unique(grid)
+    # as cum is nondecreasing, fl(fl(cum[k] + tail) + allowance) >= theta
+    # from k = k_lo on, and fl(fl(cum[n] - cum[k]) + allowance) >= theta up
+    # to k = m - 1. _ramp_window's j1 counts the atoms <= 2 eps - c and j0
+    # those <= -c, so j1 < k_lo iff 2 eps - c < pos[k_lo - 1], and j0 >= m
+    # iff -c >= pos[m - 1]; edges pads pos for k = 0 and k = n + 1
+    k_lo = np.searchsorted(cum + tail + allowance, theta)
+    m = len(cum) - np.searchsorted((cum[-1] - cum)[::-1] + allowance, theta)
+    edges = np.concatenate(([-math.inf], pos, [math.inf]))
+    c = eps - grid
+    g_lo = _gaussian_cut(span, eps, allowance, theta)
+    g_hi = -_gaussian_cut(-span[::-1], eps, allowance, theta)  # normal_cdf(eps - t)
+    cut_left = (grid <= g_lo) & (2.0 * eps - c < edges[k_lo])  # j1 < k_lo
+    cut_right = (grid >= g_hi) & (-c >= edges[m])  # j0 >= m
+    return np.unique(grid[~(cut_left | cut_right)])
+
+
 def mollifier_chain_check(dist: DriftDistribution, eps: float) -> MollifierChainCheck:
     """Numerical check that the CDF distance is controlled by the mollifier
     gaps plus 4 eps / sqrt(2 pi).
 
     The smooth sup is taken over a grid of shift points covering the
-    support, including every atom and its eps-shifts. E h_t(Z) is a banded
-    sum over each point's ramp window (_mollifier_expectations_z) at all
-    shift points at once. E h_t(Y) is screened at all of them with
+    support, including every atom and its eps-shifts. A coarse screen gives
+    a lower bound theta on the sup, and bounds on each side, monotone in
+    the shift, cut the grid to the points whose gap can reach it
+    (_chain_grid). There E h_t(Z) is a banded sum over each point's ramp
+    window (_mollifier_expectations_z), E h_t(Y) is screened with
     SCREEN_NODES nodes and a certified margin, and the 64-node rule
     (_gaussian_mollifier_expectations) runs only where the sup can sit: the
     result is the 64-node sup over the whole grid, bit for bit.
@@ -432,11 +580,10 @@ def mollifier_chain_check(dist: DriftDistribution, eps: float) -> MollifierChain
     _, ks_hi = ks_distance(dist)
     pos, mass = normalized_support(dist)
     tail = float(dist.tail_mass)
-    span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, CHAIN_GRID_POINTS)
-    ts = np.unique(np.concatenate([span, pos, pos - eps, pos + eps]))
-    e_z = _mollifier_expectations_z(pos, mass, ts, eps) + tail
-    screened = np.abs(e_z - (_normal_cdf_array(ts - eps) + _screen_ramps(ts, eps)))
-    keep = _sup_candidates(screened, _screen_margin(eps))
+    delta = _screen_margin(eps)
+    ts = _chain_grid(pos, mass, tail, eps, delta, ks_hi)
+    e_z, screened = _screened_gaps(pos, mass, tail, ts, eps)
+    keep = _sup_candidates(screened, delta)
     e_y = _gaussian_mollifier_expectations(ts[keep], eps)
     smooth_sup = float(np.max(np.abs(e_z[keep] - e_y)))
     return MollifierChainCheck(eps, ks_hi, smooth_sup, 4.0 * eps / SQRT2PI)

@@ -432,6 +432,62 @@ def test_verify_prints_each_failure_and_exits_1(capsys, monkeypatch, check):
         ]
 
 
+def test_verify_recursion_and_reverse_walk_r_once(capsys, monkeypatch):
+    # r, r // 10, r // 10 + 1 and reverse(r) are four distinct laws; run
+    # alone, recursion walks the first three and reverse the first and last
+    calls = []
+    real = exactdist._carry_numerators
+
+    def counted(r, base, K):
+        calls.append(r)
+        return real(r, base, K)
+
+    monkeypatch.setattr(exactdist, "_carry_numerators", counted)
+    for checks, walks in (("recursion", 3), ("reverse", 2), ("recursion,reverse", 4)):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "verify", "123457..123457", "--checks", checks)
+        assert (code, len(calls), calls.count(123457)) == (0, walks, 1), checks
+        assert out == f"verify: 1 values, checks={checks}, failures=0\n"
+
+
+def _shifted_first_atom(real, r_values):
+    """exactdist.distribution, but the law of each r in r_values has the mass
+    of atom 0 moved onto atom 1, whatever its atom count."""
+
+    def law(r, base, **kwargs):
+        good = real(r, base, **kwargs)
+        if r not in r_values:
+            return good
+        (n0, n1, *rest), den = good._numerators
+        return exactdist._from_numerators(r, base, [0, n0 + n1, *rest], den)
+
+    return law
+
+
+def test_verify_recursion_and_reverse_together_fail_as_each_alone(capsys, monkeypatch):
+    # r's law walked once at the larger cutoff: the same verdicts and the
+    # same reduced FAIL text as each check with its own walk
+    r_values = range(10, 30)  # two digits, so every law keeps atoms 0 and 1
+    monkeypatch.setattr(
+        exactdist, "distribution", _shifted_first_atom(exactdist.distribution, r_values)
+    )
+    alone = {}
+    for check in ("recursion", "reverse"):
+        code, out, _ = run_cli(capsys, "verify", "10..29", "--checks", check)
+        alone[check] = out.splitlines()[:-1]
+    code, out, _ = run_cli(capsys, "verify", "10..29", "--checks", "recursion,reverse")
+    *fails, summary = out.splitlines()
+    want = [
+        line
+        for r in r_values
+        for check in ("recursion", "reverse")
+        for line in alone[check]
+        if line.split()[2].rstrip(":") == f"r={r}"
+    ]
+    assert code == 1 and fails == want
+    assert {line.split()[1] for line in fails} == {"recursion", "reverse"}
+
+
 def test_simulate_deterministic(capsys, tmp_cache):
     args = [
         "simulate",

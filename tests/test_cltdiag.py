@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +16,15 @@ from digitdrift.cltdiag import (
     CHAIN_GRID_POINTS,
     GAUSS_EPS_MAX,
     GAUSS_NODES,
+    KS_TAIL_LIMIT,
     MOLLIFIER_D3_SUP,
     RATE_MIN_RHO,
+    _chain_grid,
+    _cut_allowance,
     _gaussian_mollifier_expectations,
     _mollifier_expectations_z,
     _normal_cdf_array,
+    _ramp_window,
     _screen_margin,
     _screen_ramps,
     _sup_candidates,
@@ -167,6 +173,26 @@ def test_mollifier_third_derivative_scaling():
             - mollifier(t, eps, u - 2 * h)
         ) / (2 * h**3)
         assert abs(abs(fd3) - mollifier_d3_norm(eps)) < 0.02 * mollifier_d3_norm(eps)
+
+
+def test_mollifier_d3_norm_is_the_old_formula_on_ordinary_widths():
+    for eps in [*np.geomspace(1e-100, 1e100, 2001).tolist(), 0.05, 0.1, 0.25, 1.0, 10.0]:
+        assert mollifier_d3_norm(eps).hex() == (MOLLIFIER_D3_SUP / (8.0 * eps**3)).hex(), eps
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1e-110, 4e102, 1e200, 1e308])
+def test_mollifier_d3_norm_where_eps_cubed_over_or_underflows(eps):
+    # 8 eps^3 is 0.0 or past the largest double here; the norm is the exact
+    # quotient rounded once: inf past the largest double, 0.0 only below
+    # half the smallest subnormal
+    exact = Fraction(MOLLIFIER_D3_SUP) / (8 * Fraction(eps) ** 3)
+    got = mollifier_d3_norm(eps)
+    if exact > Fraction(sys.float_info.max):
+        assert got == math.inf
+    elif exact < Fraction(2) ** -1075:
+        assert got == 0.0
+    else:
+        assert got == exact.numerator / exact.denominator and got >= sys.float_info.min
 
 
 def test_ks_distance_dirac():
@@ -450,15 +476,26 @@ def test_diagnostics_match_pinned_float_hex():
             assert local_limit_gap(r, point, dist=d).hex() == want, (r, point)
 
 
-def full_chain_sup(d, eps):
-    # the chain check's grid and E h_t(Z), with the 64-node rule at every
-    # shift point: (ts, E h_t(Y) by 64 nodes, the sup of the gap)
-    pos, mass = normalized_support(d)
+def chain_grid(pos, eps):
+    # the chain check's whole grid: the span, every atom and its eps-shifts
     span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, CHAIN_GRID_POINTS)
-    ts = np.unique(np.concatenate([span, pos, pos - eps, pos + eps]))
+    return np.unique(np.concatenate([span, pos, pos - eps, pos + eps]))
+
+
+def full_chain_gaps(d, eps):
+    # E h_t(Z) on the whole grid, with the 64-node rule at every shift
+    # point: (ts, E h_t(Y) by 64 nodes, the gap V)
+    pos, mass = normalized_support(d)
+    ts = chain_grid(pos, eps)
     e_z = _mollifier_expectations_z(pos, mass, ts, eps) + float(d.tail_mass)
     e_y = _gaussian_mollifier_expectations(ts, eps)
-    return ts, e_y, float(np.max(np.abs(e_z - e_y)))
+    return ts, e_y, np.abs(e_z - e_y)
+
+
+def full_chain_sup(d, eps):
+    # (ts, E h_t(Y) by 64 nodes, the sup of the gap) over the whole grid
+    ts, e_y, gaps = full_chain_gaps(d, eps)
+    return ts, e_y, float(np.max(gaps))
 
 
 def assert_screened_sup_is_the_full_sup(d, eps):
@@ -475,17 +512,120 @@ def test_screened_chain_sup_is_the_full_64_node_sup(law, eps):
     assert_screened_sup_is_the_full_sup(distribution(*law), eps)
 
 
+def cut_bounds(d, ts, eps):
+    # min(BL, BR) of the cut at every t in ts, Phi by normal_cdf, and the
+    # allowance: BL = max(tail + the mass before the window end,
+    # Phi(t + eps)), BR = max(the mass from the window start on, Phi(eps - t))
+    pos, mass = normalized_support(d)
+    tail = float(d.tail_mass)
+    cum = np.concatenate(([0.0], np.cumsum(mass)))
+    j0, j1 = _ramp_window(pos, eps - ts, 2.0 * eps)
+    bl = np.maximum(cum[j1] + tail, _normal_cdf_array(ts + eps))
+    br = np.maximum(cum[-1] - cum[j0], _normal_cdf_array(eps - ts))
+    return np.minimum(bl, br), _cut_allowance(eps, len(pos), abs(1.0 - tail - float(cum[-1])))
+
+
+@given(random_laws, st.floats(1e-6, GAUSS_EPS_MAX))
+def test_chain_gap_is_under_the_cut_bounds(law, eps):
+    d = distribution(*law)
+    ts, _, gaps = full_chain_gaps(d, eps)
+    bound, allowance = cut_bounds(d, ts, eps)
+    assert (gaps <= bound + allowance).all(), (law, eps)
+
+
+# a law whose tail mass is just under KS_TAIL_LIMIT
+HEAVY_TAIL = (124, 3, 15)
+
+
+def test_heavy_tail_law_is_just_under_the_limit():
+    tail = float(distribution(*HEAVY_TAIL).tail_mass)
+    assert 0.99 * KS_TAIL_LIMIT < tail < KS_TAIL_LIMIT
+
+
 @pytest.mark.parametrize(
     "law, eps",
-    [((0, 2), 0.05), ((0, 10), 2.0), ((118, 2), GAUSS_EPS_MAX), ((5900991, 10), GAUSS_EPS_MAX)],
+    [
+        ((0, 2), 0.05),
+        ((0, 10), 2.0),
+        ((118, 2), GAUSS_EPS_MAX),
+        ((5900991, 10), GAUSS_EPS_MAX),
+        ((118, 2), 1e-6),
+        ((5900991, 10), 1e-6),
+        (HEAVY_TAIL, 0.05),
+        (HEAVY_TAIL, 0.5),
+        ((5900991, 10), 0.1),
+    ],
 )
-@pytest.mark.parametrize("infinite_margin", [False, True])
-def test_screened_chain_sup_where_every_point_is_kept(law, eps, infinite_margin, monkeypatch):
-    # r = 0 (one atom), eps at the limit, where the 16-node margin spans
-    # the whole gap, and an infinite margin: the 64-node pass over the grid
-    if infinite_margin:
+@pytest.mark.parametrize(
+    "fault", [None, "infinite_margin", "nan_gap"], ids=["False", "True", "nan_gap"]
+)
+def test_screened_chain_sup_where_every_point_is_kept(law, eps, fault, monkeypatch):
+    # r = 0 (one atom), eps at both ends of its range (at the limit the
+    # 16-node margin spans the whole gap) and a tail just under
+    # KS_TAIL_LIMIT, and a law the cut thins; then an infinite margin or a
+    # screened gap not a number, where theta is not finite: no cut, and the
+    # 64-node pass over the grid
+    d = distribution(*law)
+    ts, _, gaps = full_chain_gaps(d, eps)
+    if fault == "infinite_margin":
         monkeypatch.setattr(cltdiag, "_screen_margin", lambda eps: math.inf)
-    assert_screened_sup_is_the_full_sup(distribution(*law), eps)
+    elif fault == "nan_gap":
+        monkeypatch.setattr(cltdiag, "_screen_ramps", lambda ts, eps: np.full(len(ts), math.nan))
+    assert_screened_sup_is_the_full_sup(d, eps)
+    # every point whose gap reaches the largest is kept, and only grid points
+    pos, mass = normalized_support(d)
+    ks_hi = ks_distance(d)[1]
+    kept = _chain_grid(pos, mass, float(d.tail_mass), eps, cltdiag._screen_margin(eps), ks_hi)
+    assert set(ts[gaps == gaps.max()].tolist()) <= set(kept.tolist()) <= set(ts.tolist())
+    if fault is not None:
+        assert np.array_equal(kept, ts)
+
+
+@given(random_laws, st.floats(1e-6, GAUSS_EPS_MAX), st.integers(0, 2**32 - 1))
+def test_banded_sum_on_part_of_the_grid_is_the_whole_grid_values(law, eps, seed):
+    # E h_t(Z) of a point does not depend on the other points in the batch:
+    # the coarse span, a random subset and a slice read as on the whole grid
+    pos, mass = normalized_support(distribution(*law))
+    ts = chain_grid(pos, eps)
+    whole = _mollifier_expectations_z(pos, mass, ts, eps)
+    span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, CHAIN_GRID_POINTS)
+    coarse = np.searchsorted(ts, span[:: cltdiag.CUT_STRIDE])
+    subset = np.random.default_rng(seed).random(len(ts)) < 0.2
+    for part in (coarse, subset, slice(len(ts) // 3, None, 7)):
+        got = _mollifier_expectations_z(pos, mass, ts[part], eps)
+        assert np.array_equal(got.view(np.int64), whole[part].view(np.int64)), (law, eps)
+    got = _mollifier_expectations_z(pos, mass, span[:: cltdiag.CUT_STRIDE], eps)
+    assert np.array_equal(got.view(np.int64), whole[coarse].view(np.int64)), (law, eps)
+
+
+# the clt-warm families: (10)^m in base 2 and (19)^m in base 10
+CLT_WARM_FAMILIES = [
+    *((int("10" * m, 2), 2) for m in (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)),
+    *((int("19" * m, 10), 10) for m in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)),
+]
+
+
+@pytest.mark.parametrize("law", [(118, 2), (5900991, 10), HEAVY_TAIL])
+@pytest.mark.parametrize("eps", [6.0, GAUSS_EPS_MAX])
+def test_chain_grid_skips_the_coarse_screen_where_delta_passes_ks(law, eps, monkeypatch):
+    # there the screen's margin is wider than any gap: the whole grid, unscreened
+    d = distribution(*law)
+    pos, mass = normalized_support(d)
+    ks_hi = ks_distance(d)[1]
+    assert _screen_margin(eps) >= ks_hi
+    monkeypatch.setattr(cltdiag, "_screened_gaps", None)
+    kept = _chain_grid(pos, mass, float(d.tail_mass), eps, _screen_margin(eps), ks_hi)
+    assert np.array_equal(kept, chain_grid(pos, eps))
+
+
+@pytest.mark.parametrize("law", CLT_WARM_FAMILIES)
+def test_cut_leaves_under_half_the_grid_on_the_clt_warm_families(law):
+    # the chain check's speed rests on the cut: it must not fall back to
+    # the whole grid on the laws the benchmark runs
+    d = distribution(*law)
+    pos, mass = normalized_support(d)
+    kept = _chain_grid(pos, mass, float(d.tail_mass), 0.1, _screen_margin(0.1), ks_distance(d)[1])
+    assert len(kept) < len(chain_grid(pos, 0.1)) / 2
 
 
 def test_ramp_polynomial_is_the_profile():

@@ -18,6 +18,7 @@ from .digits import check_base, rho_lambda
 from .errors import InvalidBase, InvalidEpsilon, TailTooHeavy, ZeroHasNoBlocks
 from .exactdist import (
     DriftDistribution,
+    NormalizedSupport,
     distribution,
     tail_abs_moment_bound,
     variance_exact,
@@ -52,6 +53,12 @@ def normal_pdf(t: float) -> float:
     return math.exp(-0.5 * t * t) / SQRT2PI
 
 
+def _profile_poly(t):
+    """The profile's polynomial, unclamped: a float or an array, used as
+    is where every argument is already in [0, 1]."""
+    return 1.0 - t**4 * (35.0 - 84.0 * t + 70.0 * t * t - 20.0 * t**3)
+
+
 def mollifier_profile(t):
     """C^3 ramp from 1 to 0 across [0, 1]; first three derivatives vanish
     at both endpoints (degree-7 smoothstep, mirrored). Takes a float or an
@@ -59,7 +66,7 @@ def mollifier_profile(t):
     gives the flat ends."""
     # np.clip costs ~6 us on a scalar, and smooth_gap calls this per ramp atom
     t = np.clip(t, 0.0, 1.0) if isinstance(t, np.ndarray) else min(max(t, 0.0), 1.0)
-    return 1.0 - t**4 * (35.0 - 84.0 * t + 70.0 * t * t - 20.0 * t**3)
+    return _profile_poly(t)
 
 
 def mollifier_profile_d3(t: float) -> float:
@@ -102,11 +109,18 @@ def mollifier_d3_norm(eps: float) -> float:
 # --- normalized atoms -------------------------------------------------------
 
 
-def normalized_support(dist: DriftDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, masses) of the normalized law, positions ascending, as
-    read-only arrays built once per law object.
+def normalized_support(dist: DriftDistribution) -> NormalizedSupport:
+    """The float view of the normalized law, built once per law object:
+    the pair (positions, masses), positions ascending, as read-only arrays,
+    with the prefix sums `cum`, the float variance `var` and the KS bracket
+    memo `ks` as attributes (exactdist.NormalizedSupport).
 
     The zero-variance case (r = 0) degenerates to a unit mass at 0.
+
+    Every diagnostic that reads the atoms reads the view through this
+    function rather than `dist.normalized_support`: the benchmark tracer
+    wraps this name to count the atoms each diagnostic reads
+    (cltdiag.atoms_in). local_limit_gap reads only `var` and goes direct.
     """
     return dist.normalized_support
 
@@ -123,20 +137,22 @@ def ks_distance(dist: DriftDistribution) -> tuple[float, float]:
 
     Exact at and between the atoms; the unknown tail (all of it below the
     lowest computed atom) widens the upper end, as does the normal mass
-    beyond the computed support.
+    beyond the computed support. Computed once per law object and kept in
+    its float view; the tail check runs on every call.
     """
     tail = _checked_tail(dist)
-    pos, mass = normalized_support(dist)
-    cdf_vals = _normal_cdf_array(pos)
-    cum = tail + np.concatenate(([0.0], np.cumsum(mass)))
-    # F at the left limit of atom j is cum[j], at the atom cum[j+1]
-    d_atoms = max(
-        float(np.max(np.abs(cum[:-1] - cdf_vals))),
-        float(np.max(np.abs(cum[1:] - cdf_vals))),
-    )
-    lo = d_atoms
-    hi = max(d_atoms, tail, float(cdf_vals[0]))
-    return lo, hi + 1e-13  # cover float rounding of the CDF evaluations
+    view = normalized_support(dist)
+    if view.ks is None:
+        cdf_vals = _normal_cdf_array(view.pos)
+        cum = tail + view.cum
+        # F at the left limit of atom j is cum[j], at the atom cum[j+1]
+        d_atoms = max(
+            float(np.max(np.abs(cum[:-1] - cdf_vals))),
+            float(np.max(np.abs(cum[1:] - cdf_vals))),
+        )
+        hi = max(d_atoms, tail, float(cdf_vals[0]))
+        view.ks = d_atoms, hi + 1e-13  # cover float rounding of the CDF evaluations
+    return view.ks
 
 
 GAUSS_NODES = 64
@@ -272,8 +288,11 @@ def _screen_ramps(ts: np.ndarray, eps: float) -> np.ndarray:
 
 def _ramp_window(pos: np.ndarray, c, two_eps: float):
     """Index bounds (j0, j1) of the atoms on the ramp of h_t, c = eps - t,
-    for a float c or an array of them; pos must be ascending. With
-    arg = fl(fl(c + u) / two_eps), as mollifier() rounds it:
+    for a float c or an array of them; pos must be ascending. Its domain is
+    finite c and 0 < two_eps <= 2 GAUSS_EPS_MAX: smooth_gap refuses a t
+    that is not finite and every entry an eps past GAUSS_EPS_MAX before
+    calling it, and the chain check's grids are finite, so two_eps - c is
+    finite too. With arg = fl(fl(c + u) / two_eps), as mollifier() rounds it:
 
     - before j0, u <= -c, so fl(c + u) <= 0 and arg <= 0. j0 is exact for
       fl(c + u): a sum of two doubles rounds to 0 only when it is 0. arg
@@ -283,14 +302,8 @@ def _ramp_window(pos: np.ndarray, c, two_eps: float):
       is above the real, so c + u > two_eps, fl(c + u) >= two_eps (a double;
       rounding is monotone) and arg >= 1. No margin is needed, and the atoms
       need not be distinct.
-
-    Where two_eps - c is not finite (an overflow, or t not a number) the
-    window is the whole support.
     """
-    j0 = np.searchsorted(pos, -c, side="right")
-    j1 = np.searchsorted(pos, two_eps - c, side="right")
-    whole = ~np.isfinite(two_eps - c)
-    return np.where(whole, 0, j0), np.where(whole, len(pos), j1)
+    return np.searchsorted(pos, -c, side="right"), np.searchsorted(pos, two_eps - c, side="right")
 
 
 def smooth_gap(dist: DriftDistribution, h) -> float:
@@ -334,11 +347,11 @@ def smooth_gap(dist: DriftDistribution, h) -> float:
 def third_abs_moment_normalized(dist: DriftDistribution) -> float:
     """E|Z|^3 of the normalized law, the third-moment term of the paper's
     bounds, with the certified tail bound added; checked by tests."""
-    pos, mass = normalized_support(dist)
-    partial = float(np.sum(mass * np.abs(pos) ** 3))
+    view = normalized_support(dist)
+    partial = float(np.sum(view.mass * np.abs(view.pos) ** 3))
     if dist.r == 0:
         return partial
-    sigma = math.sqrt(variance_exact(dist.r, dist.base))
+    sigma = math.sqrt(view.var)
     return partial + float(tail_abs_moment_bound(dist, 3)) / sigma**3
 
 
@@ -354,29 +367,30 @@ class MollifierChainCheck:
         return self.ks_hi <= self.smooth_sup + self.slack + 1e-10
 
 
-def _mollifier_expectations_z(
-    pos: np.ndarray, mass: np.ndarray, ts: np.ndarray, eps: float
-) -> np.ndarray:
-    """sum_u mollifier(t, eps, u) * mass(u) over the computed atoms for
-    every t in ts, as a banded sum: the prefix of the masses before each
-    ramp window, then the window terms in atom order. These are the
-    roundings of the (points x atoms) product summed along each row from
-    the first atom, bit for bit: np.cumsum adds in order, the prefix terms
-    are 1.0 * mass, and the zeros past each window would add nothing."""
+def _mollifier_expectations_z(view: NormalizedSupport, ts: np.ndarray, eps: float) -> np.ndarray:
+    """sum_u mollifier(t, eps, u) * mass(u) over the computed atoms of the
+    float view for every t in ts, as a banded sum: the prefix of the masses
+    before each ramp window, then the window terms in atom order. These are
+    the roundings of the (points x atoms) product summed along each row
+    from the first atom, bit for bit: view.cum adds in order, the prefix
+    terms are 1.0 * mass, and the zeros past each window would add nothing.
+    Its domain is _ramp_window's: finite ts and 0 < eps <= GAUSS_EPS_MAX."""
+    pos, mass = view
     n = len(pos)
     two_eps = 2.0 * eps
     c = eps - ts
     j0, j1 = _ramp_window(pos, c, two_eps)
-    e_z = np.concatenate(([0.0], np.cumsum(mass)))[j0]
+    e_z = view.cum[j0]
     # (window column, point): row k holds atom j0 + k of every point
     idx = j0 + np.arange(int((j1 - j0).max()))[:, None]
     inside = idx < n
     idx = np.minimum(idx, n - 1)
     arg = (c + pos[idx]) / two_eps
-    # 1.0, the profile or 0.0 by the same tests as for a whole row
+    # 1.0, the profile or 0.0 by the same tests as for a whole row; the
+    # ramp arguments are inside (0, 1), so the profile needs no clamp
     terms = (inside & (arg <= 0)).astype(np.float64)
     ramp = inside & (arg > 0) & (arg < 1)
-    terms[ramp] = mollifier_profile(arg[ramp])
+    terms[ramp] = _profile_poly(arg[ramp])
     terms *= mass[idx]
     for row in terms:
         e_z += row
@@ -410,13 +424,10 @@ def _mollifier_expectations_z(
 SCREEN_ROUNDING = 2.0**-30
 
 
-def _screen_margin(eps: float) -> float:
-    """delta of the screen: T16 + T64 + R (see above); inf past the bound."""
-    return (
-        gauss_legendre_error_bound(SCREEN_NODES, eps)
-        + gauss_legendre_error_bound(GAUSS_NODES, eps)
-        + SCREEN_ROUNDING
-    )
+def _screen_margin(eps: float, t64: float) -> float:
+    """delta of the screen: T16 + T64 + R (see above), with t64 =
+    gauss_legendre_error_bound(GAUSS_NODES, eps); inf past the bound."""
+    return gauss_legendre_error_bound(SCREEN_NODES, eps) + t64 + SCREEN_ROUNDING
 
 
 def _sup_candidates(a: np.ndarray, delta: float) -> np.ndarray:
@@ -429,14 +440,15 @@ def _sup_candidates(a: np.ndarray, delta: float) -> np.ndarray:
 
 
 # The cut: which grid points can hold the sup at all (_chain_grid). Let
-# u = 2^-53, n the atom count (n < 2^40), cum the np.cumsum of the masses
-# after a 0 (it adds in atom order, so cum is nondecreasing), omega =
-# |1 - tail - cum[n]| (the masses round a law's, which sum to at most 1,
-# and 0 <= tail < 1, so omega < 2), [j0, j1) a point's window from
-# _ramp_window, E_z and E_y the computed E h_t(Z) (banded sum, then + tail)
-# and 64-node E h_t(Y), G = E h_t(Y) exactly, and Phi the exact normal CDF.
+# u = 2^-53, n the atom count (n < 2^40), cum the view's prefix sums (the
+# np.cumsum of the masses after a 0; it adds in atom order, so cum is
+# nondecreasing), omega = |1 - tail - cum[n]| (the masses round a law's,
+# which sum to at most 1, and 0 <= tail < 1, so omega < 2), [j0, j1) a
+# point's window from _ramp_window, E_z and E_y the computed E h_t(Z)
+# (banded sum, then + tail) and 64-node E h_t(Y), G = E h_t(Y) exactly,
+# and Phi the exact normal CDF.
 # The shift points are finite (the atoms are normalized, eps <=
-# GAUSS_EPS_MAX), so every window is the searchsorted one. With
+# GAUSS_EPS_MAX), inside _ramp_window's domain. With
 #   BL(t) = max(fl(cum[j1] + tail), Phi(t + eps))  (nondecreasing in t),
 #   BR(t) = max(fl(cum[n] - cum[j0]), Phi(eps - t))  (nonincreasing in t),
 #   allowance = T64 + R + omega + Z,  Z = (n + 2^12) 2^-52 (1 + omega),
@@ -501,18 +513,19 @@ CUT_STRIDE = 16  # every CUT_STRIDE-th span point screens for theta
 
 
 def _screened_gaps(
-    pos: np.ndarray, mass: np.ndarray, tail: float, ts: np.ndarray, eps: float
+    view: NormalizedSupport, tail: float, ts: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(e_z, A) at every t in ts: E h_t(Z) with the tail, and the screened
     gap |e_z - (Phi(t - eps) + the SCREEN_NODES ramp)|."""
-    e_z = _mollifier_expectations_z(pos, mass, ts, eps) + tail
+    e_z = _mollifier_expectations_z(view, ts, eps) + tail
     return e_z, np.abs(e_z - (_normal_cdf_array(ts - eps) + _screen_ramps(ts, eps)))
 
 
-def _cut_allowance(eps: float, n: int, omega: float) -> float:
-    """The cut's allowance T64 + R + omega + Z for n atoms (see above)."""
+def _cut_allowance(t64: float, n: int, omega: float) -> float:
+    """The cut's allowance T64 + R + omega + Z for n atoms (see above),
+    with t64 = gauss_legendre_error_bound(GAUSS_NODES, eps)."""
     z = (n + 2**12) * 2.0**-52 * (1.0 + omega)
-    return gauss_legendre_error_bound(GAUSS_NODES, eps) + SCREEN_ROUNDING + omega + z
+    return t64 + SCREEN_ROUNDING + omega + z
 
 
 def _gaussian_cut(ts: np.ndarray, eps: float, allowance: float, theta: float) -> float:
@@ -531,19 +544,20 @@ def _gaussian_cut(ts: np.ndarray, eps: float, allowance: float, theta: float) ->
 
 
 def _chain_grid(
-    pos: np.ndarray, mass: np.ndarray, tail: float, eps: float, delta: float, ks_hi: float
+    view: NormalizedSupport, tail: float, eps: float, delta: float, t64: float, ks_hi: float
 ) -> np.ndarray:
     """The chain check's shift points (the span, every atom and its
     eps-shifts, ascending and distinct) where the gap can reach theta =
     max A - delta over every CUT_STRIDE-th span point; all of them where
-    delta >= ks_hi (see above)."""
+    delta >= ks_hi (see above). t64 is gauss_legendre_error_bound(
+    GAUSS_NODES, eps)."""
+    pos, cum = view.pos, view.cum
     span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, CHAIN_GRID_POINTS)
     grid = np.concatenate([span, pos, pos - eps, pos + eps])
     if not delta < ks_hi:
         return np.unique(grid)
-    theta = float(_screened_gaps(pos, mass, tail, span[::CUT_STRIDE], eps)[1].max()) - delta
-    cum = np.concatenate(([0.0], np.cumsum(mass)))
-    allowance = _cut_allowance(eps, len(pos), abs(1.0 - tail - float(cum[-1])))
+    theta = float(_screened_gaps(view, tail, span[::CUT_STRIDE], eps)[1].max()) - delta
+    allowance = _cut_allowance(t64, len(pos), abs(1.0 - tail - float(cum[-1])))
     if not (math.isfinite(theta) and theta > allowance):
         return np.unique(grid)
     # as cum is nondecreasing, fl(fl(cum[k] + tail) + allowance) >= theta
@@ -578,11 +592,12 @@ def mollifier_chain_check(dist: DriftDistribution, eps: float) -> MollifierChain
     """
     _check_quadrature_eps(eps)
     _, ks_hi = ks_distance(dist)
-    pos, mass = normalized_support(dist)
+    view = normalized_support(dist)
     tail = float(dist.tail_mass)
-    delta = _screen_margin(eps)
-    ts = _chain_grid(pos, mass, tail, eps, delta, ks_hi)
-    e_z, screened = _screened_gaps(pos, mass, tail, ts, eps)
+    t64 = gauss_legendre_error_bound(GAUSS_NODES, eps)
+    delta = _screen_margin(eps, t64)
+    ts = _chain_grid(view, tail, eps, delta, t64, ks_hi)
+    e_z, screened = _screened_gaps(view, tail, ts, eps)
     keep = _sup_candidates(screened, delta)
     e_y = _gaussian_mollifier_expectations(ts[keep], eps)
     smooth_sup = float(np.max(np.abs(e_z[keep] - e_y)))
@@ -656,7 +671,9 @@ def local_limit_gap(r: int, d: int, dist: DriftDistribution) -> float:
         raise InvalidBase("the local limit comparison is defined for base 2")
     if r == 0:
         raise ZeroHasNoBlocks("the local limit comparison needs r >= 1 (r = 0 has no variance)")
-    var = float(variance_exact(r, 2))
+    var = dist.normalized_support.var
     sigma = math.sqrt(var)
     gauss = math.exp(-d * d / (2.0 * var)) / (sigma * SQRT2PI)
-    return abs(float(dist.mass_at(d)) - gauss)
+    # the atom's numerator over den, a correctly rounded int division: the
+    # same double as float(mass_at(d)), without reducing the Fraction
+    return abs(dist._numerator_at(d) / dist._numerators[1] - gauss)

@@ -5,6 +5,10 @@ Everything here is exact: atom masses come out of an integer dynamic
 program over the digit chain of r, and variance out of the matching
 two-value recursion. Floats never enter, except for one derived cache:
 `DriftDistribution.normalized_support`, the float view `cltdiag` reads.
+It is built once per law object, on first read, and holds the positions
+d/sigma and masses as the (positions, masses) pair, their prefix sums
+`cum`, the float variance `var` and a slot `ks` for the KS bracket, which
+`cltdiag.ks_distance` fills on its first call.
 
 A law from the engine or the cache keeps the engine's integers: the atom
 numerators over their one denominator b**(K+1+L). Every library consumer
@@ -59,11 +63,11 @@ class DriftDistribution:
 
     The masses are also held as integers, `_numerators` = (nums, den) with
     atom k = nums[k] / den, and every consumer in the package reads those.
-    A law from the engine or the cache (`_from_numerators`) is born with
-    the engine's numerators and builds `atoms` on first read; a law built
-    here from its Fractions gets its numerators on first read, over the
-    lcm of the atom denominators. Either way ==, hash and repr read the
-    five fields, `atoms` included.
+    A law from the engine (`_from_numerators`) or the cache (`_law_of`)
+    is born with the engine's numerators and builds `atoms` on first read;
+    a law built here from its Fractions gets its numerators on first read,
+    over the lcm of the atom denominators. Either way ==, hash and repr
+    read the five fields, `atoms` included.
     """
 
     base: int
@@ -77,9 +81,14 @@ class DriftDistribution:
         if any(m.numerator < 0 for m in self.atoms) or self.tail_mass.numerator < 0:
             raise AssertionError("negative mass: distribution recursion is broken")
 
+    def __getstate__(self):
+        # pickle and deepcopy leave out the float view, a derived cache: the
+        # copy builds it again on first read, with its layout and so its bits
+        return {k: v for k, v in vars(self).items() if k != "normalized_support"}
+
     def __getattr__(self, name):
         # reached only for a name missing from the instance: `atoms` of a
-        # law from _from_numerators before its first read
+        # law from _law_of before its first read
         if name != "atoms":
             raise AttributeError(name)
         nums, den = self._numerators
@@ -115,34 +124,64 @@ class DriftDistribution:
         return Fraction(self._numerator_at(d), self._numerators[1])
 
     @cached_property
-    def normalized_support(self) -> tuple[np.ndarray, np.ndarray]:
-        """(positions d/sigma, masses) as read-only float arrays, positions
-        ascending; the zero-variance case (r = 0) is a unit mass at 0.
+    def normalized_support(self) -> NormalizedSupport:
+        """The law's float view (see NormalizedSupport): positions d/sigma
+        ascending and their masses, as read-only arrays, with the prefix
+        sums and the float variance; the zero-variance case (r = 0) is a
+        unit mass at 0.
 
         A derived cache, built on first use and only read by `cltdiag`: the
         exact fields above stay the law, and the cache takes no part in
-        ==, hash or repr.
+        ==, hash, repr or a pickled copy.
         """
         if self.r == 0:
-            pos, mass = np.array([0.0]), np.array([1.0])
-        else:
-            sigma = math.sqrt(variance_exact(self.r, self.base))
-            # bit for bit the per-atom d / sigma and float(m): each int d is
-            # rounded to a double before the division either way (a range of
-            # Python ints, so no int64 overflow for wide bases), and int / int
-            # is correctly rounded, as float(Fraction) is, so n / den is the
-            # float of the reduced atom. Built k ascending and read reversed:
-            # the negative stride keeps `pos**3` in smooth_gap's cubic gap on
-            # its pinned bits, since numpy's pow kernel rounds by memory
-            # layout (contiguous copies move the last bit on some laws)
-            nums, den = self._numerators
-            n = len(nums)
-            ds = range(self.s_r, self.position(n), 1 - self.base)
-            pos = (np.fromiter(ds, float, n) / sigma)[::-1]
-            mass = np.array([m / den for m in nums])[::-1]
-        pos.flags.writeable = False
-        mass.flags.writeable = False
-        return pos, mass
+            return NormalizedSupport(np.array([0.0]), np.array([1.0]), 0.0)
+        var = float(variance_exact(self.r, self.base))
+        sigma = math.sqrt(var)
+        # bit for bit the per-atom d / sigma and float(m): each int d is
+        # rounded to a double before the division either way (a range of
+        # Python ints, so no int64 overflow for wide bases), and int / int
+        # is correctly rounded, as float(Fraction) is, so n / den is the
+        # float of the reduced atom. Built k ascending and read reversed:
+        # the negative stride keeps `pos**3` in smooth_gap's cubic gap on
+        # its pinned bits, since numpy's pow kernel rounds by memory
+        # layout (contiguous copies move the last bit on some laws)
+        nums, den = self._numerators
+        n = len(nums)
+        ds = range(self.s_r, self.position(n), 1 - self.base)
+        pos = (np.fromiter(ds, float, n) / sigma)[::-1]
+        mass = np.array([m / den for m in nums])[::-1]
+        return NormalizedSupport(pos, mass, var)
+
+
+class NormalizedSupport(tuple):
+    """The float view of one law: the pair (pos, mass), as
+    `DriftDistribution.normalized_support` has always read, with the rest
+    as attributes (like os.stat_result's fields past its tuple):
+
+    - pos, mass: the positions d/sigma ascending and their masses;
+    - cum: the prefix sums of the masses, [0] + np.cumsum(mass), so
+      cum[j] is the mass before atom j;
+    - var: float(variance_exact(r, base)), 0.0 for r = 0;
+    - ks: the KS bracket (lo, hi), None until `cltdiag.ks_distance` first
+      computes it (it depends on the tail's float, fixed per law).
+
+    The arrays are read-only, so every diagnostic can share them.
+    """
+
+    def __new__(cls, pos: np.ndarray, mass: np.ndarray, var: float):
+        view = super().__new__(cls, (pos, mass))
+        cum = np.concatenate(([0.0], np.cumsum(mass)))
+        for arr in (pos, mass, cum):
+            arr.flags.writeable = False
+        view.pos, view.mass, view.cum, view.var = pos, mass, cum, var
+        view.ks = None
+        return view
+
+    def __reduce__(self):
+        # a view pickled on its own is rebuilt from its inputs; the KS
+        # bracket is computed again on first use
+        return NormalizedSupport, (self.pos, self.mass, self.var)
 
 
 def unit_atom_mass(k: int, base: int) -> Fraction:
@@ -284,6 +323,13 @@ def _from_numerators(r: int, base: int, nums: list[int], den: int) -> DriftDistr
     tail = den - sum(nums)
     if min(nums) < 0 or tail < 0:
         raise AssertionError("negative mass: distribution recursion is broken")
+    return _law_of(r, base, nums, den, tail)
+
+
+def _law_of(r: int, base: int, nums: list[int], den: int, tail: int) -> DriftDistribution:
+    """_from_numerators' law, for numerators and a tail numerator that the
+    caller has checked are nonnegative and sum to den (the cache reader
+    checks its file in that one pass)."""
     law = object.__new__(DriftDistribution)
     vars(law).update(
         base=base,
@@ -599,7 +645,7 @@ def load_cached_distribution(
     den = base ** (K + 1 + expand(r, base).digit_count())
     if min(nums) < 0 or tail < 0 or sum(nums) + tail != den:
         return None  # not a split of the total mass
-    return _from_numerators(r, base, nums, den)
+    return _law_of(r, base, nums, den, tail)
 
 
 def save_cached_distribution(

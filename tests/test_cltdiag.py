@@ -1,6 +1,9 @@
+import copy
+import itertools
 import json
 import math
 import os
+import pickle
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -46,6 +49,7 @@ from digitdrift.cltdiag import (
 )
 from digitdrift.errors import InvalidBase, InvalidEpsilon, TailTooHeavy, ZeroHasNoBlocks
 from digitdrift.exactdist import (
+    DriftDistribution,
     cache_key,
     distribution,
     load_cached_distribution,
@@ -56,6 +60,7 @@ from digitdrift.exactdist import (
 
 PINNED = Path(__file__).parent / "data" / "cltdiag_pinned.json"
 CHAIN_PINNED = Path(__file__).parent / "data" / "chain_pinned.json"
+CLT_WARM_PINNED = Path(__file__).parent / "data" / "clt_warm_pinned.json"
 
 
 def pattern_10(m):
@@ -63,6 +68,15 @@ def pattern_10(m):
     for i in range(m):
         r |= 1 << (2 * i + 1)
     return r
+
+
+def t64(eps):
+    # the 64-node error bound the chain check computes once per check
+    return gauss_legendre_error_bound(GAUSS_NODES, eps)
+
+
+def screen_margin(eps):
+    return _screen_margin(eps, t64(eps))
 
 
 def simpson_gauss_mass(a, b, steps=20001):
@@ -420,26 +434,16 @@ atom_shifts = st.tuples(st.integers(0, 2**16), st.sampled_from([0, 1, -1, 2, -2]
 
 @given(random_laws, st.floats(1e-6, 5.0), st.lists(atom_shifts, max_size=8))
 def test_banded_mollifier_sum_is_the_dense_sum_bit_for_bit(law, eps, shifts):
-    pos, mass = normalized_support(distribution(*law))
+    view = normalized_support(distribution(*law))
+    pos, mass = view
     # the chain check's own grid, then points at and around atoms
     span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, CHAIN_GRID_POINTS)
     ts = np.unique(np.concatenate([span, pos, pos - eps, pos + eps]))
     extra = [pos[i % len(pos)] + k * eps for i, k in shifts]
     ts = np.concatenate([ts, pos - 2 * eps, pos + 2 * eps, extra])
-    got = _mollifier_expectations_z(pos, mass, ts, eps)
+    got = _mollifier_expectations_z(view, ts, eps)
     want = dense_mollifier_expectations_z(pos, mass, ts, eps)
     assert np.array_equal(got.view(np.int64), want.view(np.int64)), (law, eps)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_banded_mollifier_sum_where_shifts_overflow():
-    # c = eps - t or 2 eps not finite: the window is the whole support
-    pos, mass = normalized_support(distribution(118, 2))
-    ts = np.array([0.0, 1e308, -1e308, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan])
-    for eps in (1e-6, 1.0, 1e308, 1.7e308):
-        got = _mollifier_expectations_z(pos, mass, ts, eps)
-        want = dense_mollifier_expectations_z(pos, mass, ts, eps)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), eps
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -485,9 +489,9 @@ def chain_grid(pos, eps):
 def full_chain_gaps(d, eps):
     # E h_t(Z) on the whole grid, with the 64-node rule at every shift
     # point: (ts, E h_t(Y) by 64 nodes, the gap V)
-    pos, mass = normalized_support(d)
-    ts = chain_grid(pos, eps)
-    e_z = _mollifier_expectations_z(pos, mass, ts, eps) + float(d.tail_mass)
+    view = normalized_support(d)
+    ts = chain_grid(view.pos, eps)
+    e_z = _mollifier_expectations_z(view, ts, eps) + float(d.tail_mass)
     e_y = _gaussian_mollifier_expectations(ts, eps)
     return ts, e_y, np.abs(e_z - e_y)
 
@@ -504,7 +508,7 @@ def assert_screened_sup_is_the_full_sup(d, eps):
     assert got.hex() == want.hex(), (d.r, d.base, eps)
     # the margin bounds the gap between the screening rule and 64 nodes
     screened = _normal_cdf_array(ts - eps) + _screen_ramps(ts, eps)
-    assert float(np.max(np.abs(screened - e_y))) <= _screen_margin(eps), (d.r, d.base, eps)
+    assert float(np.max(np.abs(screened - e_y))) <= screen_margin(eps), (d.r, d.base, eps)
 
 
 @given(random_laws, st.floats(1e-6, GAUSS_EPS_MAX))
@@ -522,7 +526,7 @@ def cut_bounds(d, ts, eps):
     j0, j1 = _ramp_window(pos, eps - ts, 2.0 * eps)
     bl = np.maximum(cum[j1] + tail, _normal_cdf_array(ts + eps))
     br = np.maximum(cum[-1] - cum[j0], _normal_cdf_array(eps - ts))
-    return np.minimum(bl, br), _cut_allowance(eps, len(pos), abs(1.0 - tail - float(cum[-1])))
+    return np.minimum(bl, br), _cut_allowance(t64(eps), len(pos), abs(1.0 - tail - float(cum[-1])))
 
 
 @given(random_laws, st.floats(1e-6, GAUSS_EPS_MAX))
@@ -540,6 +544,8 @@ HEAVY_TAIL = (124, 3, 15)
 def test_heavy_tail_law_is_just_under_the_limit():
     tail = float(distribution(*HEAVY_TAIL).tail_mass)
     assert 0.99 * KS_TAIL_LIMIT < tail < KS_TAIL_LIMIT
+    # a tail that moves the KS bracket's bits: the view's is its scratch twin
+    assert_view_is_built_from_scratch(distribution(*HEAVY_TAIL))
 
 
 @pytest.mark.parametrize(
@@ -568,14 +574,15 @@ def test_screened_chain_sup_where_every_point_is_kept(law, eps, fault, monkeypat
     d = distribution(*law)
     ts, _, gaps = full_chain_gaps(d, eps)
     if fault == "infinite_margin":
-        monkeypatch.setattr(cltdiag, "_screen_margin", lambda eps: math.inf)
+        monkeypatch.setattr(cltdiag, "_screen_margin", lambda eps, t64: math.inf)
     elif fault == "nan_gap":
         monkeypatch.setattr(cltdiag, "_screen_ramps", lambda ts, eps: np.full(len(ts), math.nan))
     assert_screened_sup_is_the_full_sup(d, eps)
     # every point whose gap reaches the largest is kept, and only grid points
-    pos, mass = normalized_support(d)
+    view = normalized_support(d)
     ks_hi = ks_distance(d)[1]
-    kept = _chain_grid(pos, mass, float(d.tail_mass), eps, cltdiag._screen_margin(eps), ks_hi)
+    delta = cltdiag._screen_margin(eps, t64(eps))
+    kept = _chain_grid(view, float(d.tail_mass), eps, delta, t64(eps), ks_hi)
     assert set(ts[gaps == gaps.max()].tolist()) <= set(kept.tolist()) <= set(ts.tolist())
     if fault is not None:
         assert np.array_equal(kept, ts)
@@ -585,16 +592,17 @@ def test_screened_chain_sup_where_every_point_is_kept(law, eps, fault, monkeypat
 def test_banded_sum_on_part_of_the_grid_is_the_whole_grid_values(law, eps, seed):
     # E h_t(Z) of a point does not depend on the other points in the batch:
     # the coarse span, a random subset and a slice read as on the whole grid
-    pos, mass = normalized_support(distribution(*law))
+    view = normalized_support(distribution(*law))
+    pos = view.pos
     ts = chain_grid(pos, eps)
-    whole = _mollifier_expectations_z(pos, mass, ts, eps)
+    whole = _mollifier_expectations_z(view, ts, eps)
     span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, CHAIN_GRID_POINTS)
     coarse = np.searchsorted(ts, span[:: cltdiag.CUT_STRIDE])
     subset = np.random.default_rng(seed).random(len(ts)) < 0.2
     for part in (coarse, subset, slice(len(ts) // 3, None, 7)):
-        got = _mollifier_expectations_z(pos, mass, ts[part], eps)
+        got = _mollifier_expectations_z(view, ts[part], eps)
         assert np.array_equal(got.view(np.int64), whole[part].view(np.int64)), (law, eps)
-    got = _mollifier_expectations_z(pos, mass, span[:: cltdiag.CUT_STRIDE], eps)
+    got = _mollifier_expectations_z(view, span[:: cltdiag.CUT_STRIDE], eps)
     assert np.array_equal(got.view(np.int64), whole[coarse].view(np.int64)), (law, eps)
 
 
@@ -610,12 +618,12 @@ CLT_WARM_FAMILIES = [
 def test_chain_grid_skips_the_coarse_screen_where_delta_passes_ks(law, eps, monkeypatch):
     # there the screen's margin is wider than any gap: the whole grid, unscreened
     d = distribution(*law)
-    pos, mass = normalized_support(d)
+    view = normalized_support(d)
     ks_hi = ks_distance(d)[1]
-    assert _screen_margin(eps) >= ks_hi
+    assert screen_margin(eps) >= ks_hi
     monkeypatch.setattr(cltdiag, "_screened_gaps", None)
-    kept = _chain_grid(pos, mass, float(d.tail_mass), eps, _screen_margin(eps), ks_hi)
-    assert np.array_equal(kept, chain_grid(pos, eps))
+    kept = _chain_grid(view, float(d.tail_mass), eps, screen_margin(eps), t64(eps), ks_hi)
+    assert np.array_equal(kept, chain_grid(view.pos, eps))
 
 
 @pytest.mark.parametrize("law", CLT_WARM_FAMILIES)
@@ -623,9 +631,9 @@ def test_cut_leaves_under_half_the_grid_on_the_clt_warm_families(law):
     # the chain check's speed rests on the cut: it must not fall back to
     # the whole grid on the laws the benchmark runs
     d = distribution(*law)
-    pos, mass = normalized_support(d)
-    kept = _chain_grid(pos, mass, float(d.tail_mass), 0.1, _screen_margin(0.1), ks_distance(d)[1])
-    assert len(kept) < len(chain_grid(pos, 0.1)) / 2
+    view = normalized_support(d)
+    kept = _chain_grid(view, float(d.tail_mass), 0.1, screen_margin(0.1), t64(0.1), ks_distance(d)[1])
+    assert len(kept) < len(chain_grid(view.pos, 0.1)) / 2
 
 
 def test_ramp_polynomial_is_the_profile():
@@ -655,6 +663,119 @@ def test_chain_check_matches_pinned_float_hex():
         for eps, *want in case["chain"]:
             chk = mollifier_chain_check(d, eps)
             assert [chk.ks_hi.hex(), chk.smooth_sup.hex(), chk.slack.hex()] == want, (case, eps)
+
+
+def test_clt_warm_laws_match_pinned_float_hex():
+    # float.hex recorded before the diagnostics shared one float view per
+    # law, for the 21 clt-warm family members: the bits the benchmark's
+    # .12g digest and chain_pinned.json do not show
+    for case in json.loads(CLT_WARM_PINNED.read_text()):
+        b = case["base"]
+        r = int(case["pattern"] * case["m"], b)
+        d = distribution(r, b)
+        assert [v.hex() for v in ks_distance(d)] == case["ks_distance"], case
+        for h, want in case["smooth_gap"].items():
+            assert smooth_gap(d, h).hex() == want, (case, h)
+        for t, eps, want in case["mollifier_gap"]:
+            assert smooth_gap(d, ("mollifier", t, eps)).hex() == want, (case, t, eps)
+        for point, want in case.get("local_limit_gap", []):
+            assert local_limit_gap(r, point, dist=d).hex() == want, (case, point)
+
+
+def scratch_view(d):
+    # the float view's fields, each built from the law's Fractions alone:
+    # (pos, mass, cum, var, ks) as lists of floats and floats
+    var = float(variance_exact(d.r, d.base))
+    items = list(d.items())[::-1]
+    if d.r == 0:
+        pos, mass = [0.0], [1.0]
+    else:
+        sigma = math.sqrt(var)
+        pos, mass = [x / sigma for x, _ in items], [float(m) for _, m in items]
+    cum = list(itertools.accumulate(mass, initial=0.0))
+    tail = float(d.tail_mass)
+    cdf = [normal_cdf(x) for x in pos]
+    d_atoms = max(
+        max(abs(tail + c - f) for c, f in zip(cum[:-1], cdf)),
+        max(abs(tail + c - f) for c, f in zip(cum[1:], cdf)),
+    )
+    ks = (d_atoms, max(d_atoms, tail, cdf[0]) + 1e-13)
+    return pos, mass, cum, var, ks
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+# a law of r in base b from the engine (False) or from its Fractions (True)
+view_laws = st.tuples(
+    st.sampled_from([2, 3, 10, 200]).flatmap(
+        lambda b: st.tuples(st.one_of(st.just(0), st.integers(1, b**12 - 1)), st.just(b))
+    ),
+    st.booleans(),
+)
+
+
+def law_of(r, b, from_fractions, atoms=None):
+    d = distribution(r, b, atoms=atoms)
+    return DriftDistribution(b, r, d.s_r, tuple(d.atoms), d.tail_mass) if from_fractions else d
+
+
+def assert_view_is_built_from_scratch(d):
+    pos, mass, cum, var, ks = scratch_view(d)
+    got = ks_distance(d)
+    view = normalized_support(d)
+    assert hexes(view.pos) == hexes(pos) and hexes(view.mass) == hexes(mass), d
+    assert hexes(view.cum) == hexes(cum) and view.var.hex() == var.hex(), d
+    assert hexes(view.ks) == hexes(ks) and view.ks is got, d
+    return ks
+
+
+@given(view_laws, st.floats(0.05, 0.5))
+def test_float_view_is_built_from_scratch_bit_for_bit(law, eps):
+    (r, b), from_fractions = law
+    d = law_of(r, b, from_fractions)
+    ks = assert_view_is_built_from_scratch(d)
+    view = normalized_support(d)
+    # a fresh equal law computes the bracket anew, alone or in the chain check
+    assert hexes(ks_distance(law_of(r, b, not from_fractions))) == hexes(ks), law
+    assert mollifier_chain_check(law_of(r, b, from_fractions), eps).ks_hi.hex() == ks[1].hex()
+    # every diagnostic leaves the shared arrays read-only
+    smooth_gap(d, "cubic")
+    smooth_gap(d, ("mollifier", 0.3, eps))
+    mollifier_chain_check(d, eps)
+    assert normalized_support(d) is view
+    for arr in (view.pos, view.mass, view.cum):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    if r:
+        # one atom leaves a tail of at least 1/b: refused on every call,
+        # the view built or not
+        heavy = law_of(r, b, from_fractions, atoms=0)
+        for call in (
+            lambda: ks_distance(heavy),
+            lambda: smooth_gap(heavy, "sin"),
+            lambda: mollifier_chain_check(heavy, eps),
+        ):
+            for _ in range(2):
+                with pytest.raises(TailTooHeavy):
+                    call()
+            normalized_support(heavy)
+
+
+def test_law_with_its_float_view_pickles_and_copies():
+    # 11184810's cubic gap moves with the memory layout of the positions:
+    # a copy builds its own view, so it reads the same bits
+    d = distribution(11184810, 2)
+    ks, cubic = ks_distance(d), smooth_gap(d, "cubic")
+    for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert twin == d and "normalized_support" not in vars(twin)
+        assert hexes(ks_distance(twin)) == hexes(ks)
+        assert smooth_gap(twin, "cubic").hex() == cubic.hex()
+    view = pickle.loads(pickle.dumps(normalized_support(d)))
+    assert view.ks is None and not view.cum.flags.writeable
+    assert hexes(view.cum) == hexes(normalized_support(d).cum)
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])

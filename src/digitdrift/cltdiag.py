@@ -33,9 +33,6 @@ CHAIN_GRID_POINTS = 801  # shift points spanning the support in mollifier_chain_
 RATE_MIN_RHO = 16
 RATE_RATIO_CAP = 10.0
 
-# sup |f'''| of the mollifier profile, attained at 1/2 (value 105/2).
-MOLLIFIER_D3_SUP = 52.5
-
 
 def normal_cdf(t: float) -> float:
     """Standard normal CDF via the complementary error function."""
@@ -69,13 +66,6 @@ def mollifier_profile(t):
     return _profile_poly(t)
 
 
-def mollifier_profile_d3(t: float) -> float:
-    """Third derivative of the profile on [0, 1]: -840 t (1-t) (5t^2-5t+1)."""
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    return -840.0 * t * (1.0 - t) * (5.0 * t * t - 5.0 * t + 1.0)
-
-
 def _check_eps(eps: float) -> None:
     if not (math.isfinite(eps) and eps > 0):
         raise InvalidEpsilon(f"eps must be finite and > 0, got {eps}")
@@ -83,27 +73,9 @@ def _check_eps(eps: float) -> None:
 
 def mollifier(t: float, eps: float, u: float) -> float:
     """Smooth indicator of (-inf, t]: 1 below t - eps, 0 above t + eps,
-    profile((eps - t + u)/(2 eps)) in between. ||third derivative|| =
-    MOLLIFIER_D3_SUP / (8 eps^3)."""
+    profile((eps - t + u)/(2 eps)) in between."""
     _check_eps(eps)
     return mollifier_profile((eps - t + u) / (2.0 * eps))
-
-
-def mollifier_d3_norm(eps: float) -> float:
-    """MOLLIFIER_D3_SUP / (8 eps^3) for every finite eps > 0: inf where it
-    overflows, 0.0 only below half the smallest subnormal."""
-    _check_eps(eps)
-    try:
-        denom = 8.0 * eps**3
-    except OverflowError:  # eps**3 past the largest double
-        denom = math.inf
-    if 0.0 < denom < math.inf:
-        return MOLLIFIER_D3_SUP / denom
-    # eps^3 under- or overflowed: the exact quotient, rounded once
-    try:
-        return float(Fraction(MOLLIFIER_D3_SUP) / (8 * Fraction(eps) ** 3))
-    except OverflowError:
-        return math.inf
 
 
 # --- normalized atoms -------------------------------------------------------

@@ -119,39 +119,6 @@ def phi_bound(k: int, base: int) -> float:
     return 2.0 * ((base - 1) / base) ** (k / 2 - 1)
 
 
-@dataclass(frozen=True)
-class PhiHalfSums:
-    n_terms: int
-    phi_half: float  # sum of k * sqrt(min(1, bound(k)))
-    phi_half_bar: float  # max(sqrt(phi_half), phi_half**2)
-
-
-def phi_half_sums(base: int, n_terms: int) -> PhiHalfSums:
-    """Partial sums of the weighted mixing series, with the bound capped at 1."""
-    check_base(base)
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    total = 0.0
-    for k in range(1, n_terms + 1):
-        total += k * math.sqrt(min(1.0, phi_bound(k, base)))
-    return PhiHalfSums(n_terms, total, max(math.sqrt(total), total * total))
-
-
-def smooth_gap_budget(
-    third_moment_sum: float,
-    second_sum: float,
-    fourth_sum: float,
-    h3_norm: float,
-    phi_half_bar: float,
-) -> float:
-    """The paper's mixing bound on a smooth gap, checked by tests:
-    ||h'''|| (5/2 + 28 Phi) S3 + 120 ||h'''|| Phi sqrt(S2) sqrt(S4), with S_j
-    the summed normalized absolute block moments."""
-    return h3_norm * (2.5 + 28.0 * phi_half_bar) * third_moment_sum + (
-        120.0 * h3_norm * phi_half_bar * math.sqrt(second_sum) * math.sqrt(fourth_sum)
-    )
-
-
 def wilson_radius(successes: int, trials: int) -> float:
     """Half-width of the Wilson score interval at z = WILSON_Z."""
     if trials == 0:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import digitdrift
 from digitdrift import exactdist, mixing, oracle
 from digitdrift.digits import expand, int_digit_sum, reverse_expansion
 from digitdrift.errors import (
@@ -779,7 +780,6 @@ def test_cache_schema(tmp_cache):
         (lambda: unit_atom_mass(-1, 2), ValueError, "k must be nonnegative"),
         (lambda: tail_abs_moment_bound(distribution(5, 2), 4), ValueError, "power must be in 0..3"),
         (lambda: variance_trailing_unit(1, 0, 2), ValueError, "m must be >= 1"),
-        (lambda: mixing.phi_half_sums(2, 0), ValueError, "n_terms must be >= 1"),
         (lambda: sample_drift(LazyBadicSample(2), -1), ValueError, "r must be nonnegative"),
         (lambda: oracle.empirical_density(1, 2, 0), ValueError, "n must be >= 1"),
         (lambda: oracle.empirical_density(-1, 2, 5), ValueError, "r must be nonnegative"),
@@ -797,7 +797,6 @@ def test_cache_schema(tmp_cache):
         "unit-atom-negative-k",
         "tail-moment-power-4",
         "trailing-unit-zero-m",
-        "phi-half-sums-no-terms",
         "sample-drift-negative-r",
         "density-zero-n",
         "density-negative-r",
@@ -810,6 +809,13 @@ def test_library_input_guards(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+def test_every_exported_name_resolves_once():
+    # a stale entry in __all__ breaks `from digitdrift import *`
+    names = digitdrift.__all__
+    assert sorted(set(names)) == sorted(names)
+    assert [n for n in names if not hasattr(digitdrift, n)] == []
 
 
 def test_digit_sum_table_of_no_entries_is_empty():

@@ -10,13 +10,11 @@ from digitdrift.digits import block_prefix_integers, expand
 from digitdrift.errors import InsufficientSamples
 from digitdrift.exactdist import distribution, unit_atom_mass, variance_exact
 from digitdrift.mixing import (
-    PhiHalfSums,
     block_laws,
     estimate_phi_grid,
     exact_median,
     exact_mode,
     phi_bound,
-    phi_half_sums,
     process_matrix,
     sample_process,
     wilson_radius,
@@ -296,30 +294,3 @@ def test_wilson_radius_sane():
     assert wilson_radius(0, 0) == 1.0
     r = wilson_radius(500, 1000)
     assert 0.04 < r < 0.06  # z=3.29, p=0.5, n=1000 -> ~0.052
-
-
-def test_phi_half_sums():
-    one = phi_half_sums(2, 1)
-    assert one == PhiHalfSums(1, 1.0, 1.0)
-    prev = 0.0
-    for n in (1, 2, 5, 10, 40):
-        cur = phi_half_sums(2, n).phi_half
-        assert cur >= prev
-        prev = cur
-    # geometric tail: the series settles well before 200 terms
-    a = phi_half_sums(2, 200).phi_half
-    b = phi_half_sums(2, 400).phi_half
-    assert abs(a - b) < 1e-6
-    assert phi_half_sums(2, 400).phi_half_bar == pytest.approx(a * a, rel=1e-6)
-
-
-def test_smooth_gap_budget_helper():
-    from digitdrift.mixing import smooth_gap_budget
-
-    bar = phi_half_sums(2, 50).phi_half_bar
-    rhs = smooth_gap_budget(0.1, 1.0, 3.0, h3_norm=2.0, phi_half_bar=bar)
-    manual = 2.0 * (2.5 + 28 * bar) * 0.1 + 120 * 2.0 * bar * math.sqrt(3.0)
-    assert rhs == pytest.approx(manual, rel=1e-12)
-    assert smooth_gap_budget(0.1, 1.0, 3.0, 4.0, bar) == pytest.approx(
-        2 * rhs, rel=1e-12
-    )

@@ -298,6 +298,10 @@ def _check_enclosure(r: int, base: int, level: int | None) -> list[str]:
         level = 0
         while base ** (level + 1) < max(4096 * r, 2**16):
             level += 1
+        # a level the tower refuses certifies nothing; MAX_LEVEL still
+        # does where its tower exceeds r, if with a wider enclosure
+        if base ** (oracle.MAX_LEVEL + 1) > r:
+            level = min(level, oracle.MAX_LEVEL)
     dist = exactdist.distribution(r, base)
     return [
         f"enclosure r={v.r} k={v.k} d={v.d}: mass={v.mass} not in [{v.lo}, {v.hi}]"

@@ -465,32 +465,16 @@ def _sup_candidates(a: np.ndarray, delta: float) -> np.ndarray:
 # t <= g_lo, where fl(normal_cdf(g_lo + eps) + allowance) < theta, so
 # Phi(t + eps) <= Phi(g_lo + eps) < theta - allowance + PHI by (c); so
 # BL(t) < theta - allowance + PHI and V(t) < theta. Or the mirror on the
-# right, with fl(cum[n] - cum[j0]) and g_hi. And theta <= max V: the
-# coarse points are grid points; at the arg-max t* of A over them the
-# screen's own bound gives V(t*) >= max A - T16 - T64 - 2^-40 (its floats,
-# before R), while theta = fl(max A - delta) <= max A - T16 - T64 - R +
-# 2^-50. So every t with V(t) >= theta is kept, with the arg-max of V among
-# them; the screen's argument above holds on any set of grid points that
-# contains it, so it finds the max over the kept points, which is the max
-# over the whole grid, and the same double, as V is computed per point
-# whatever else is in the batch. Where theta is not a finite number above
-# the allowance (a gap not a number) nothing could be cut, and the whole
-# grid is used. So it is, without the coarse screen, where delta >= ks_hi
-# (delta = inf among them; delta > 1 from eps = 6 up): h_t falls from 1 to
-# 0, so the exact gap is an average of F_Z - Phi and at most the KS
-# distance, and theta = max A - delta could pass the allowance only by the
-# 16-node rule's own error, not by its bound. The whole grid is always a
-# sound choice; this one only saves the screen where the cut finds nothing.
-CUT_STRIDE = 16  # every CUT_STRIDE-th span point screens for theta
-
-
-def _screened_gaps(
-    view: NormalizedSupport, tail: float, ts: np.ndarray, eps: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(e_z, A) at every t in ts: E h_t(Z) with the tail, and the screened
-    gap |e_z - (Phi(t - eps) + the SCREEN_NODES ramp)|."""
-    e_z = _mollifier_expectations_z(view, ts, eps) + tail
-    return e_z, np.abs(e_z - (_normal_cdf_array(ts - eps) + _screen_ramps(ts, eps)))
+# right, with fl(cum[n] - cum[j0]) and g_hi. And theta <= max V: theta is
+# the max of V at p - eps, p and p + eps, p the heaviest atom (where F_Z
+# jumps most, so near where the gap peaks), and these are grid points, the
+# same doubles as the grid's pos - eps, pos and pos + eps, with V computed
+# per point whatever else is in the batch. So every t with V(t) >= theta is
+# kept, with the arg-max of V among them; the screen's argument above holds
+# on any set of grid points that contains it, so it finds the max over the
+# kept points, which is the max over the whole grid, and the same double.
+# Where theta is not a finite number above the allowance (a gap not a
+# number) nothing could be cut, and the whole grid is used.
 
 
 def _cut_allowance(t64: float, n: int, omega: float) -> float:
@@ -515,20 +499,24 @@ def _gaussian_cut(ts: np.ndarray, eps: float, allowance: float, theta: float) ->
     return float(ts[lo]) if lo >= 0 else -math.inf
 
 
-def _chain_grid(
-    view: NormalizedSupport, tail: float, eps: float, delta: float, t64: float, ks_hi: float
-) -> np.ndarray:
+def _probe_points(view: NormalizedSupport, eps: float) -> np.ndarray:
+    """The three grid points where _chain_grid takes theta: p - eps, p and
+    p + eps, with p the heaviest atom."""
+    p = view.pos[np.argmax(view.mass)]
+    return np.array([p - eps, p, p + eps])
+
+
+def _chain_grid(view: NormalizedSupport, tail: float, eps: float, t64: float) -> np.ndarray:
     """The chain check's shift points (the span, every atom and its
-    eps-shifts, ascending and distinct) where the gap can reach theta =
-    max A - delta over every CUT_STRIDE-th span point; all of them where
-    delta >= ks_hi (see above). t64 is gauss_legendre_error_bound(
-    GAUSS_NODES, eps)."""
+    eps-shifts, ascending and distinct) where the gap can reach theta, the
+    64-node gap's max over _probe_points (see above). t64 is
+    gauss_legendre_error_bound(GAUSS_NODES, eps)."""
     pos, cum = view.pos, view.cum
     span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, CHAIN_GRID_POINTS)
     grid = np.concatenate([span, pos, pos - eps, pos + eps])
-    if not delta < ks_hi:
-        return np.unique(grid)
-    theta = float(_screened_gaps(view, tail, span[::CUT_STRIDE], eps)[1].max()) - delta
+    probes = _probe_points(view, eps)
+    e_z = _mollifier_expectations_z(view, probes, eps) + tail
+    theta = float(np.max(np.abs(e_z - _gaussian_mollifier_expectations(probes, eps))))
     allowance = _cut_allowance(t64, len(pos), abs(1.0 - tail - float(cum[-1])))
     if not (math.isfinite(theta) and theta > allowance):
         return np.unique(grid)
@@ -553,12 +541,13 @@ def mollifier_chain_check(dist: DriftDistribution, eps: float) -> MollifierChain
     gaps plus 4 eps / sqrt(2 pi).
 
     The smooth sup is taken over a grid of shift points covering the
-    support, including every atom and its eps-shifts. A coarse screen gives
-    a lower bound theta on the sup, and bounds on each side, monotone in
-    the shift, cut the grid to the points whose gap can reach it
-    (_chain_grid). There E h_t(Z) is a banded sum over each point's ramp
-    window (_mollifier_expectations_z), E h_t(Y) is screened with
-    SCREEN_NODES nodes and a certified margin, and the 64-node rule
+    support, including every atom and its eps-shifts. The 64-node gap at
+    three of them, the heaviest atom and its eps-shifts, is a lower bound
+    theta on the sup, and bounds on each side, monotone in the shift, cut
+    the grid to the points whose gap can reach it (_chain_grid). There
+    E h_t(Z) is a banded sum over each point's ramp window
+    (_mollifier_expectations_z), E h_t(Y) is screened with SCREEN_NODES
+    nodes and a certified margin, and the 64-node rule
     (_gaussian_mollifier_expectations) runs only where the sup can sit: the
     result is the 64-node sup over the whole grid, bit for bit.
     """
@@ -567,10 +556,10 @@ def mollifier_chain_check(dist: DriftDistribution, eps: float) -> MollifierChain
     view = normalized_support(dist)
     tail = float(dist.tail_mass)
     t64 = gauss_legendre_error_bound(GAUSS_NODES, eps)
-    delta = _screen_margin(eps, t64)
-    ts = _chain_grid(view, tail, eps, delta, t64, ks_hi)
-    e_z, screened = _screened_gaps(view, tail, ts, eps)
-    keep = _sup_candidates(screened, delta)
+    ts = _chain_grid(view, tail, eps, t64)
+    e_z = _mollifier_expectations_z(view, ts, eps) + tail
+    screened = np.abs(e_z - (_normal_cdf_array(ts - eps) + _screen_ramps(ts, eps)))
+    keep = _sup_candidates(screened, _screen_margin(eps, t64))
     e_y = _gaussian_mollifier_expectations(ts[keep], eps)
     smooth_sup = float(np.max(np.abs(e_z[keep] - e_y)))
     return MollifierChainCheck(eps, ks_hi, smooth_sup, 4.0 * eps / SQRT2PI)

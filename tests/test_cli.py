@@ -907,6 +907,20 @@ def test_verify_enclosure_reaches_long_r(capsys, argv):
     assert out.endswith("checks=enclosure, failures=0\n")
 
 
+def test_verify_enclosure_default_level_stays_under_the_cap(capsys):
+    # a 1000-digit base-10 r: the level search's own pick, 1002, is past
+    # oracle.MAX_LEVEL, whose tower of 10^1001 levels still exceeds r
+    r = "".join(str(i * i % 10) for i in range(1, 1001))
+    code, out, err = run_cli(capsys, "verify", f"{r}..{r}", "--checks", "enclosure")
+    assert (code, err) == (0, "")
+    assert out.endswith("checks=enclosure, failures=0\n")
+    # from 10^1001 on no level within the cap exceeds r
+    r = str(10**1001)
+    code, out, err = run_cli(capsys, "verify", f"{r}..{r}", "--checks", "enclosure")
+    assert (code, out) == (2, "")
+    assert err == "error: tower level must be <= 1000, got 1004\n"
+
+
 def test_verify_enclosure_refuses_absurd_level_at_once():
     # the count grows about quadratically with the level; a child process lets
     # the timeout fail this test instead of hanging the suite

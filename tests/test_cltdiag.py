@@ -24,6 +24,7 @@ from digitdrift.cltdiag import (
     _gaussian_mollifier_expectations,
     _mollifier_expectations_z,
     _normal_cdf_array,
+    _probe_points,
     _ramp_window,
     _screen_margin,
     _screen_ramps,
@@ -512,47 +513,51 @@ def test_heavy_tail_law_is_just_under_the_limit():
     ],
 )
 @pytest.mark.parametrize(
-    "fault", [None, "infinite_margin", "nan_gap"], ids=["False", "True", "nan_gap"]
+    "fault",
+    [None, "infinite_margin", "nan_gap", "nan_theta"],
+    ids=["False", "True", "nan_gap", "nan_theta"],
 )
 def test_screened_chain_sup_where_every_point_is_kept(law, eps, fault, monkeypatch):
     # r = 0 (one atom), eps at both ends of its range (at the limit the
     # 16-node margin spans the whole gap) and a tail just under
     # KS_TAIL_LIMIT, and a law the cut thins; then an infinite margin or a
-    # screened gap not a number, where theta is not finite: no cut, and the
-    # 64-node pass over the grid
+    # screened gap not a number, where the screen keeps every point the cut
+    # left, and a probe gap not a number (a probe point not a number makes
+    # its gap one), where theta is not finite: no cut
     d = distribution(*law)
     ts, _, gaps = full_chain_gaps(d, eps)
     if fault == "infinite_margin":
         monkeypatch.setattr(cltdiag, "_screen_margin", lambda eps, t64: math.inf)
     elif fault == "nan_gap":
         monkeypatch.setattr(cltdiag, "_screen_ramps", lambda ts, eps: np.full(len(ts), math.nan))
+    elif fault == "nan_theta":
+        monkeypatch.setattr(cltdiag, "_probe_points", lambda view, eps: np.array([math.nan]))
     assert_screened_sup_is_the_full_sup(d, eps)
     # every point whose gap reaches the largest is kept, and only grid points
-    view = normalized_support(d)
-    ks_hi = ks_distance(d)[1]
-    delta = cltdiag._screen_margin(eps, t64(eps))
-    kept = _chain_grid(view, float(d.tail_mass), eps, delta, t64(eps), ks_hi)
+    kept = _chain_grid(normalized_support(d), float(d.tail_mass), eps, t64(eps))
     assert set(ts[gaps == gaps.max()].tolist()) <= set(kept.tolist()) <= set(ts.tolist())
-    if fault is not None:
+    if fault == "nan_theta":
         assert np.array_equal(kept, ts)
 
 
 @given(random_laws, st.floats(1e-6, GAUSS_EPS_MAX), st.integers(0, 2**32 - 1))
 def test_banded_sum_on_part_of_the_grid_is_the_whole_grid_values(law, eps, seed):
     # E h_t(Z) of a point does not depend on the other points in the batch:
-    # the coarse span, a random subset and a slice read as on the whole grid
+    # the probe points, a random subset and a slice read as on the whole
+    # grid. The probes are grid points, bit for bit: theta <= max V rests
+    # on it
     view = normalized_support(distribution(*law))
-    pos = view.pos
-    ts = chain_grid(pos, eps)
+    ts = chain_grid(view.pos, eps)
     whole = _mollifier_expectations_z(view, ts, eps)
-    span = np.linspace(pos[0] - 2 * eps, pos[-1] + 2 * eps, CHAIN_GRID_POINTS)
-    coarse = np.searchsorted(ts, span[:: cltdiag.CUT_STRIDE])
+    probes = _probe_points(view, eps)
+    at = np.searchsorted(ts, probes)
+    assert np.array_equal(ts[at].view(np.int64), probes.view(np.int64)), (law, eps)
     subset = np.random.default_rng(seed).random(len(ts)) < 0.2
-    for part in (coarse, subset, slice(len(ts) // 3, None, 7)):
+    for part in (at, subset, slice(len(ts) // 3, None, 7)):
         got = _mollifier_expectations_z(view, ts[part], eps)
         assert np.array_equal(got.view(np.int64), whole[part].view(np.int64)), (law, eps)
-    got = _mollifier_expectations_z(view, span[:: cltdiag.CUT_STRIDE], eps)
-    assert np.array_equal(got.view(np.int64), whole[coarse].view(np.int64)), (law, eps)
+    got = _mollifier_expectations_z(view, probes, eps)
+    assert np.array_equal(got.view(np.int64), whole[at].view(np.int64)), (law, eps)
 
 
 # the clt-warm families: (10)^m in base 2 and (19)^m in base 10
@@ -564,15 +569,16 @@ CLT_WARM_FAMILIES = [
 
 @pytest.mark.parametrize("law", [(118, 2), (5900991, 10), HEAVY_TAIL])
 @pytest.mark.parametrize("eps", [6.0, GAUSS_EPS_MAX])
-def test_chain_grid_skips_the_coarse_screen_where_delta_passes_ks(law, eps, monkeypatch):
-    # there the screen's margin is wider than any gap: the whole grid, unscreened
+def test_screened_chain_sup_at_large_eps_on_a_cut_grid(law, eps):
+    # there the 16-node margin is wider than any gap, so the screen keeps
+    # every point: the cut alone thins the grid, and the sup is still the
+    # 64-node sup over all of it
     d = distribution(*law)
+    assert screen_margin(eps) >= ks_distance(d)[1]
+    assert_screened_sup_is_the_full_sup(d, eps)
     view = normalized_support(d)
-    ks_hi = ks_distance(d)[1]
-    assert screen_margin(eps) >= ks_hi
-    monkeypatch.setattr(cltdiag, "_screened_gaps", None)
-    kept = _chain_grid(view, float(d.tail_mass), eps, screen_margin(eps), t64(eps), ks_hi)
-    assert np.array_equal(kept, chain_grid(view.pos, eps))
+    kept = _chain_grid(view, float(d.tail_mass), eps, t64(eps))
+    assert len(kept) < len(chain_grid(view.pos, eps))
 
 
 @pytest.mark.parametrize("law", CLT_WARM_FAMILIES)
@@ -581,7 +587,7 @@ def test_cut_leaves_under_half_the_grid_on_the_clt_warm_families(law):
     # the whole grid on the laws the benchmark runs
     d = distribution(*law)
     view = normalized_support(d)
-    kept = _chain_grid(view, float(d.tail_mass), 0.1, screen_margin(0.1), t64(0.1), ks_distance(d)[1])
+    kept = _chain_grid(view, float(d.tail_mass), 0.1, t64(0.1))
     assert len(kept) < len(chain_grid(view.pos, 0.1)) / 2
 
 
